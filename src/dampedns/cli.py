@@ -77,9 +77,14 @@ def _run_one(cfg: RunConfig, restart: str | None = None):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.run_id}.csv"
     log = DiagnosticsLog(physics)
-    observers = [log.observer(cfg.diag_stride)]
     writer = DiagnosticsWriter(csv_path)
-    observers.append(Observer(cfg.diag_stride, lambda st: writer.append(record(st.u, st.t, physics))))
+
+    def capture(st):
+        rec = record(st.u, st.t, physics)
+        log.records.append(rec)
+        writer.append(replace(rec))  # the writer fills dEdt in place
+
+    observers = [Observer(cfg.diag_stride, capture)]
     if cfg.snapshot_stride > 0:
         observers.append(Observer(
             cfg.snapshot_stride,

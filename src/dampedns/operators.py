@@ -3,10 +3,16 @@
 Everything here acts on the projected, dealiased spectral representation:
 the Leray projection eliminates the pressure, the viscous term is diagonal
 (handled by the time integrator), and the convective and damping terms are
-evaluated pseudo-spectrally with 2/3-rule dealiasing.
+evaluated pseudo-spectrally with 2/3-rule dealiasing, all by one kernel.
+The convective term is in rotational form: -(u . grad) u and u x omega
+(omega = curl u) differ by the gradient of |u|^2/2, which the projection
+removes, and u . (u x omega) = 0 at every grid point, so energy
+orthogonality holds on the grid to rounding (Zang, Appl. Numer. Math. 7, 1991).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,37 +62,65 @@ def leray_project(v_hat: np.ndarray, grid: WaveGrid) -> SpectralVelocity:
     return SpectralVelocity(grid, out)
 
 
-def _convective_spectral(coeffs: np.ndarray, grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Physical-space velocity and convective product (u . grad) u.
+# (i, j, k) cyclic: (a x b)_i = a_j b_k - a_k b_j
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-    Transforms u and grad u to the collocation grid in one batched call and
-    forms the products there; the caller transforms back and dealiases.
-    Returns (u_phys, conv_phys).
+
+def _rhs_kernel(
+    coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
+    forcing_coeffs: np.ndarray | None, convective: bool = True,
+) -> tuple[np.ndarray, float]:
+    """(P[u x omega - alpha |u|^(beta-1) u] + f_hat, max|u(x)|).
+
+    One batched inverse transform of [u_hat, ik x u_hat] (only u_hat when
+    ``convective`` is off), the force formed pointwise, one three-component
+    forward transform. s2 = u . u feeds both the damping factor and the peak
+    speed; sqrt(max s2) is bitwise the max of the pointwise speeds.
     """
     n = grid.n
-    stack = np.empty((12, n, n, grid.nk), np.complex128)
-    stack[:3] = coeffs
-    np.multiply(grid._ikvec[:, None], coeffs[None], out=stack[3:].reshape(3, 3, n, n, grid.nk))
-    phys = grid.to_physical(stack)
-    u_phys = phys[:3]
-    grad = phys[3:].reshape(3, 3, n, n, n)
-    conv = np.einsum("ixyz,ijxyz->jxyz", u_phys, grad)
-    return u_phys, conv
+    if convective:
+        stack = np.empty((6, n, n, grid.nk), np.complex128)
+        stack[:3] = coeffs
+        ik = grid._ikvec
+        for i, j, k in _CYCLIC:
+            np.multiply(ik[j], coeffs[k], out=stack[3 + i])
+            stack[3 + i] -= ik[k] * coeffs[j]
+        phys = grid.to_physical(stack)
+    else:
+        phys = grid.to_physical(coeffs)
+    u = phys[:3]
+    s2 = u[0] * u[0]
+    s2 += u[1] * u[1]
+    s2 += u[2] * u[2]
+    if convective:
+        w = phys[3:]
+        force = np.empty_like(u)
+        for i, j, k in _CYCLIC:
+            np.multiply(u[j], w[k], out=force[i])
+            force[i] -= u[k] * w[j]
+    else:
+        force = np.zeros_like(u)
+    if beta == 1.0:
+        fac = alpha
+    else:
+        fac = s2 ** ((beta - 1.0) / 2.0)
+        fac *= alpha
+    force -= fac * u
+    out = grid.to_spectral(force)
+    out *= grid.dealias_mask_f
+    project_coeffs(out, grid)
+    if forcing_coeffs is not None:
+        out += forcing_coeffs
+    return out, math.sqrt(float(s2.max()))
 
 
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
-    """Convective contribution N(u) = -P[(u . grad) u], dealiased.
+    """Convective contribution N(u) = -P[(u . grad) u] = P[u x omega], dealiased.
 
-    With the 2/3 mask the pseudo-spectral product is alias-free for the
-    retained modes, so the discrete term inherits the energy orthogonality
-    <N(u), u> = 0 of the continuous trilinear form up to rounding.
+    The RHS kernel with alpha = 0. u . (u x omega) vanishes pointwise, so
+    <N(u), u> = 0 holds to rounding.
     """
-    grid = u.grid
-    _, conv = _convective_spectral(u.coeffs, grid)
-    out = grid.to_spectral(conv)
-    out *= -grid.dealias_mask_f
-    project_coeffs(out, grid)
-    return SpectralVelocity(grid, out)
+    return SpectralVelocity(u.grid, _rhs_kernel(u.coeffs, u.grid, 0.0, 1.0, None)[0])
 
 
 def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelocity:
@@ -96,7 +130,8 @@ def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelo
     <damping, u> = -alpha (dx^3 sum |u(x)|^(beta+1)) holds exactly by the
     discrete Parseval identity regardless of aliasing in the unretained
     modes. For beta = 1 the factor |u|^0 is identically one and the result
-    is -alpha u with no transforms at all.
+    is -alpha u with no transforms at all; otherwise it is the RHS kernel
+    without the convective term.
     """
     if alpha <= 0.0:
         raise ValueError(f"damping strength alpha must be positive, got {alpha}")
@@ -105,68 +140,20 @@ def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelo
     grid = u.grid
     if beta == 1.0:
         return SpectralVelocity(grid, -alpha * u.coeffs)
-    u_phys = grid.to_physical(u.coeffs)
-    s2 = u_phys[0] ** 2 + u_phys[1] ** 2 + u_phys[2] ** 2
-    w = (alpha * s2 ** ((beta - 1.0) / 2.0)) * u_phys
-    out = grid.to_spectral(w)
-    out *= -grid.dealias_mask_f
-    project_coeffs(out, grid)
-    return SpectralVelocity(grid, out)
+    return SpectralVelocity(grid, _rhs_kernel(u.coeffs, grid, alpha, beta, None, convective=False)[0])
 
 
 def nonviscous_rhs(
-    coeffs: np.ndarray,
-    grid: WaveGrid,
-    alpha: float,
-    beta: float,
-    forcing_coeffs: np.ndarray | None,
-) -> np.ndarray:
-    """Fused convective + damping + forcing right-hand side on raw coefficients.
+    coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
+    forcing_coeffs: np.ndarray | None, *, return_speed: bool = False,
+) -> np.ndarray | tuple[np.ndarray, float]:
+    """Convective + damping + forcing right-hand side on raw coefficients.
 
-    Equals nonlinear_term(u) + damping_term(u, alpha, beta) + f_hat up to
-    rounding, at a fraction of the transforms: for exactly divergence-free
-    dealiased input the convective term coincides mode-by-mode with the
-    divergence form d_i(u_i u_j), which needs only the velocity itself in
-    physical space. The six distinct products u_i u_j and the three damping
-    components share one batched forward transform; the derivative is taken
-    spectrally. The viscous term is excluded; the integrator applies it
-    exactly through the integrating factor.
+    Equals nonlinear_term(u) + damping_term(u, alpha, beta) + f_hat: six
+    inverse and three forward component transforms. The viscous term is
+    excluded; the integrator applies it exactly through the integrating
+    factor. With ``return_speed`` the result is (rhs, max|u(x)|), from which
+    the first stage of a step takes its CFL step.
     """
-    n = grid.n
-    u_phys = grid.to_physical(coeffs)
-    buf = np.empty((9, n, n, n))
-    np.multiply(u_phys[0], u_phys[0], out=buf[0])
-    np.multiply(u_phys[0], u_phys[1], out=buf[1])
-    np.multiply(u_phys[0], u_phys[2], out=buf[2])
-    np.multiply(u_phys[1], u_phys[1], out=buf[3])
-    np.multiply(u_phys[1], u_phys[2], out=buf[4])
-    np.multiply(u_phys[2], u_phys[2], out=buf[5])
-    if beta == 1.0:
-        np.multiply(alpha, u_phys, out=buf[6:9])
-    else:
-        s2 = buf[0] + buf[3]
-        s2 += buf[5]
-        fac = s2 ** ((beta - 1.0) / 2.0)
-        fac *= alpha
-        np.multiply(fac, u_phys, out=buf[6:9])
-    th = grid.to_spectral(buf)
-
-    kv = grid.kvec
-    out = np.empty_like(coeffs)
-    # out_j = k_i T_hat[i, j] with T indexed (00, 01, 02, 11, 12, 22)
-    np.multiply(kv[0], th[0], out=out[0])
-    out[0] += kv[1] * th[1]
-    out[0] += kv[2] * th[2]
-    np.multiply(kv[0], th[1], out=out[1])
-    out[1] += kv[1] * th[3]
-    out[1] += kv[2] * th[4]
-    np.multiply(kv[0], th[2], out=out[2])
-    out[2] += kv[1] * th[4]
-    out[2] += kv[2] * th[5]
-    out *= -1j  # minus the convective divergence i k . T
-    out -= th[6:9]  # minus the damping force
-    out *= grid.dealias_mask_f
-    project_coeffs(out, grid)
-    if forcing_coeffs is not None:
-        out += forcing_coeffs
-    return out
+    out, speed = _rhs_kernel(coeffs, grid, alpha, beta, forcing_coeffs)
+    return (out, speed) if return_speed else out

@@ -123,18 +123,9 @@ def explicit_rhs(u: SpectralVelocity, physics: Physics) -> SpectralVelocity:
     return SpectralVelocity(u.grid, out)
 
 
-def adapt_dt(state: SolverState, scheme: SchemeConfig, physics: Physics) -> float:
-    """CFL-limited step with a damping stiffness guard.
-
-    dt = clamp(cfl * dx / max|u|, dt_min, dt_max), additionally capped by
-    cfl / (alpha * max|u|^(beta-1)) so the explicit damping term stays
-    stable for large amplitudes. A fluid at rest imposes no constraint and
-    returns dt_max.
-    """
-    grid = state.u.grid
-    speed = state.u.to_physical().max_speed()
+def _cfl_dt(speed: float, t: float, grid: WaveGrid, scheme: SchemeConfig, physics: Physics) -> float:
     if not np.isfinite(speed):
-        raise SolverError(f"non-finite velocity at t={state.t:.6g}")
+        raise SolverError(f"non-finite velocity at t={t:.6g}")
     if speed == 0.0:
         return scheme.dt_max
     dt = scheme.cfl_target * grid.dx / speed
@@ -142,11 +133,45 @@ def adapt_dt(state: SolverState, scheme: SchemeConfig, physics: Physics) -> floa
     return float(min(max(dt, scheme.dt_min), scheme.dt_max))
 
 
-def _advance(coeffs: np.ndarray, grid: WaveGrid, dt: float, physics: Physics, method: str) -> np.ndarray:
+def adapt_dt(state: SolverState, scheme: SchemeConfig, physics: Physics) -> float:
+    """CFL-limited step with a damping stiffness guard.
+
+    dt = clamp(cfl * dx / max|u|, dt_min, dt_max), additionally capped by
+    cfl / (alpha * max|u|^(beta-1)) so the explicit damping term stays
+    stable for large amplitudes. A fluid at rest imposes no constraint and
+    returns dt_max. :func:`step` gets the same value from its first stage.
+    """
+    return _cfl_dt(state.u.to_physical().max_speed(), state.t, state.u.grid, scheme, physics)
+
+
+def step(
+    state: SolverState,
+    scheme: SchemeConfig,
+    physics: Physics,
+    dt: float | None = None,
+    until: float | None = None,
+) -> SolverState:
+    """Advance one step; returns a new state, never mutates the input.
+
+    Unless ``dt`` is given, an adaptive scheme takes it from the peak speed
+    of the first stage (the value :func:`adapt_dt` gives), a fixed one uses
+    ``scheme.dt``; ``until`` clips it so the step does not pass that time.
+    The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
+    terms are advanced explicitly at the configured order. The result is
+    re-projected and re-dealiased so the field invariants hold after every
+    step, and a blow-up guard rejects runaway amplitudes.
+    """
+    grid, coeffs = state.u.grid, state.u.coeffs
     al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
-    if method == "if-rk2":
+    k1, speed = nonviscous_rhs(coeffs, grid, al, be, f, return_speed=True)
+    if dt is None:
+        dt = _cfl_dt(speed, state.t, grid, scheme, physics) if scheme.adaptive else scheme.dt
+    if until is not None:
+        dt = min(dt, until - state.t)
+    if dt <= 0.0:
+        raise SolverError(f"nonpositive step dt={dt}")
+    if scheme.method == "if-rk2":
         visc = grid.viscous_factor(physics.mu, dt)
-        k1 = nonviscous_rhs(coeffs, grid, al, be, f)
         pred = coeffs + dt * k1
         pred *= visc
         k2 = nonviscous_rhs(pred, grid, al, be, f)
@@ -155,39 +180,16 @@ def _advance(coeffs: np.ndarray, grid: WaveGrid, dt: float, physics: Physics, me
         k1 *= visc
         k2 *= 0.5 * dt
         k1 += k2
-        return k1
-    # if-rk4: classical RK4 on the integrating-factor transformed variable
-    e_half = grid.viscous_factor(physics.mu, 0.5 * dt)
-    e_full = e_half * e_half
-    k1 = nonviscous_rhs(coeffs, grid, al, be, f)
-    k2 = nonviscous_rhs(e_half * (coeffs + (0.5 * dt) * k1), grid, al, be, f)
-    k3 = nonviscous_rhs(e_half * coeffs + (0.5 * dt) * k2, grid, al, be, f)
-    k4 = nonviscous_rhs(e_full * coeffs + dt * (e_half * k3), grid, al, be, f)
-    out = e_full * (coeffs + (dt / 6.0) * k1)
-    out += (dt / 3.0) * (e_half * (k2 + k3))
-    out += (dt / 6.0) * k4
-    return out
-
-
-def step(
-    state: SolverState,
-    scheme: SchemeConfig,
-    physics: Physics,
-    dt: float | None = None,
-) -> SolverState:
-    """Advance one step; returns a new state, never mutates the input.
-
-    The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
-    terms are advanced explicitly at the configured order. The result is
-    re-projected and re-dealiased so the field invariants hold after every
-    step, and a blow-up guard rejects runaway amplitudes.
-    """
-    if dt is None:
-        dt = adapt_dt(state, scheme, physics) if scheme.adaptive else scheme.dt
-    if dt <= 0.0:
-        raise SolverError(f"nonpositive step dt={dt}")
-    grid = state.u.grid
-    out = _advance(state.u.coeffs, grid, dt, physics, scheme.method)
+        out = k1
+    else:  # if-rk4: classical RK4 on the integrating-factor transformed variable
+        e_half = grid.viscous_factor(physics.mu, 0.5 * dt)
+        e_full = e_half * e_half
+        k2 = nonviscous_rhs(e_half * (coeffs + (0.5 * dt) * k1), grid, al, be, f)
+        k3 = nonviscous_rhs(e_half * coeffs + (0.5 * dt) * k2, grid, al, be, f)
+        k4 = nonviscous_rhs(e_full * coeffs + dt * (e_half * k3), grid, al, be, f)
+        out = e_full * (coeffs + (dt / 6.0) * k1)
+        out += (dt / 3.0) * (e_half * (k2 + k3))
+        out += (dt / 6.0) * k4
     out *= grid.dealias_mask_f
     project_coeffs(out, grid)
     t_new = state.t + dt
@@ -237,9 +239,7 @@ def integrate(
         obs.maybe_fire(state, force=True)
     eps = 1e-12 * max(1.0, abs(until))
     while until - state.t > eps:
-        dt = adapt_dt(state, scheme, physics) if scheme.adaptive else scheme.dt
-        dt = min(dt, until - state.t)
-        state = step(state, scheme, physics, dt=dt)
+        state = step(state, scheme, physics, until=until)
         for obs in observers:
             obs.maybe_fire(state)
     for obs in observers:

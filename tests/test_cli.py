@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import dampedns.cli as cli
+import dampedns.diagnostics as diagnostics
 from dampedns.cli import main
+from dampedns.config import parse_config
 from dampedns.storage import read_diagnostics, read_snapshot
 
 QUICK_CONFIG = """
@@ -76,6 +79,16 @@ class TestRunCommand:
         assert len(recs) == 7  # t0 + 6 strides
         state, header = read_snapshot(tmp_path / "out" / "quick-final.snap")
         assert state.step_count == 30
+
+    def test_one_record_per_stride_feeds_log_and_csv(self, tmp_path, monkeypatch):
+        times = []
+        real = diagnostics.record
+        for module in (cli, diagnostics):
+            monkeypatch.setattr(module, "record", lambda u, t, ph: times.append(t) or real(u, t, ph))
+        cfg = parse_config(QUICK_CONFIG + f"output_dir = {tmp_path}/out\n")
+        *_, records, csv_path = cli._run_one(cfg)
+        assert len(times) == len(set(times)) == 7
+        assert [r.astuple() for r in read_diagnostics(csv_path)] == [r.astuple() for r in records]
 
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

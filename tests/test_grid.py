@@ -87,7 +87,7 @@ class TestTransforms:
             b = g.to_physical(u.coeffs)
         finally:
             set_fft_workers(1)
-        assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+        assert np.array_equal(a, b)
 
     def test_worker_setting_validated(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Integrating-factor schemes, adaptivity, the integration driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,15 @@ from dampedns import (
     WaveGrid,
     adapt_dt,
     explicit_rhs,
+    get_fft_workers,
     integrate,
     make_initial_condition,
+    set_fft_workers,
     step,
 )
+from dampedns.config import build_grid, build_physics, build_state, load_preset
 from dampedns.fields import h_inner, h_norm_sq
+from dampedns.operators import damping_term, nonlinear_term, nonviscous_rhs
 
 
 def shear_setup(n=16, length=2 * np.pi, mu=0.1, alpha=0.2, amp=1.0):
@@ -240,3 +246,84 @@ class TestIntegrate:
         g, u, ph = shear_setup()
         out = integrate(SolverState(0.0, u), 0.123, SchemeConfig(dt=0.01, adaptive=False), ph)
         assert out.t == pytest.approx(0.123, abs=1e-12)
+
+
+def cylinder_config(n, dt_max=None):
+    cfg = load_preset("cylinder-a05-b2")
+    scheme = cfg.scheme if dt_max is None else replace(cfg.scheme, dt_max=dt_max)
+    return replace(cfg, n=n, scheme=scheme)
+
+
+@pytest.fixture(scope="module")
+def cylinder_run():
+    """Every state of an adaptive cylinder-a05-b2 run at n = 16. dt_max is
+    raised so the CFL constraint, not the clamp, sets most steps."""
+    cfg = cylinder_config(16, dt_max=0.5)
+    grid = build_grid(cfg)
+    physics = build_physics(cfg, grid)
+    states = []
+    integrate(build_state(cfg, grid), 5.0, cfg.scheme, physics, [Observer(1, states.append)])
+    return cfg, physics, states, 5.0
+
+
+class TestStageOneDt:
+    def test_step_dt_is_adapt_dt_bitwise(self, cylinder_run):
+        cfg, physics, states, until = cylinder_run
+        pairs = list(zip(states, states[1:]))
+        assert [b.step_count for _, b in pairs] == list(range(1, len(states)))
+        for before, after in pairs[:-1]:
+            assert after.last_dt == adapt_dt(before, cfg.scheme, physics)
+        before, last = pairs[-1]
+        assert last.last_dt == min(adapt_dt(before, cfg.scheme, physics), until - before.t)
+        assert last.t == until
+        cfl_bound = sum(after.last_dt < cfg.scheme.dt_max for _, after in pairs[:-1])
+        assert cfl_bound >= len(pairs) // 2
+
+    def test_views_sum_to_kernel_along_run(self, cylinder_run):
+        cfg, physics, states, _ = cylinder_run
+        al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
+        for st in states[1:]:
+            fused = nonviscous_rhs(st.u.coeffs, st.u.grid, al, be, f)
+            parts = nonlinear_term(st.u).coeffs + damping_term(st.u, al, be).coeffs + f
+            assert np.abs(fused - parts).max() <= 1e-12 * np.abs(parts).max()
+
+
+class TestTransformCount:
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_if_rk2_step_components(self, monkeypatch, adaptive):
+        g = WaveGrid(16, 2 * np.pi)
+        u = make_initial_condition(g, "random", seed=7, energy=1.0)
+        ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingField.cylinder(g, force=(0.0, 0.5, 0.0)))
+        counts = {"to_physical": 0, "to_spectral": 0}
+
+        def counting(name):
+            orig = getattr(WaveGrid, name)
+
+            def wrapped(self, arr):
+                counts[name] += arr.shape[0] if arr.ndim == 4 else 1
+                return orig(self, arr)
+            return wrapped
+
+        for name in counts:
+            monkeypatch.setattr(WaveGrid, name, counting(name))
+        step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=adaptive), ph)
+        assert counts == {"to_physical": 12, "to_spectral": 6}
+
+
+class TestFftWorkers:
+    def test_trajectory_bitwise_across_worker_counts(self):
+        cfg = cylinder_config(32)
+        grid = build_grid(cfg)
+        physics = build_physics(cfg, grid)
+
+        def run(workers):
+            prev = get_fft_workers()
+            set_fft_workers(workers)
+            try:
+                return integrate(build_state(cfg, grid), 0.5, cfg.scheme, physics)
+            finally:
+                set_fft_workers(prev)
+
+        one, two = run(1), run(2)
+        assert one.step_count == two.step_count >= 10
+        assert np.array_equal(one.u.coeffs, two.u.coeffs)
