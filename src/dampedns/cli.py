@@ -40,9 +40,10 @@ from .config import (
     preset_names,
     preset_text,
 )
-from .diagnostics import DiagnosticsLog, record
+from .diagnostics import record
 from .experiments import ExperimentSpec, run_convergence_speed_sweep, run_trajectory_separation
-from .storage import DiagnosticsWriter, StorageError, check_restart_compatible, read_snapshot, write_snapshot
+from .storage import (DiagnosticsWriter, StorageError, check_restart_compatible, read_diagnostics,
+                      read_snapshot, write_snapshot)
 from .timestepping import Observer, SolverError, integrate
 
 __all__ = ["main", "console_entry"]
@@ -64,7 +65,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _run_one(cfg: RunConfig, restart: str | None = None):
-    """Integrate one configuration, streaming diagnostics and snapshots."""
+    """Integrate one configuration, streaming diagnostics and snapshots.
+    The returned records are read back, bit for bit, from the CSV it wrote."""
     grid = build_grid(cfg)
     physics = build_physics(cfg, grid)
     if restart:
@@ -76,15 +78,8 @@ def _run_one(cfg: RunConfig, restart: str | None = None):
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.run_id}.csv"
-    log = DiagnosticsLog(physics)
     writer = DiagnosticsWriter(csv_path)
-
-    def capture(st):
-        rec = record(st.u, st.t, physics)
-        log.records.append(rec)
-        writer.append(replace(rec))  # the writer fills dEdt in place
-
-    observers = [Observer(cfg.diag_stride, capture)]
+    observers = [Observer(cfg.diag_stride, lambda st: writer.append(record(st.u, st.t, physics)))]
     if cfg.snapshot_stride > 0:
         observers.append(Observer(
             cfg.snapshot_stride,
@@ -95,7 +90,7 @@ def _run_one(cfg: RunConfig, restart: str | None = None):
     finally:
         writer.close()
     write_snapshot(state, physics, out_dir / f"{cfg.run_id}-final.snap")
-    return grid, physics, state, log.finalized(), csv_path
+    return grid, physics, state, read_diagnostics(csv_path), csv_path
 
 
 def _cmd_run(args) -> int:

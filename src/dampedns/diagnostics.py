@@ -86,6 +86,11 @@ def record(u: SpectralVelocity, t: float, physics: Physics) -> DiagnosticsRecord
     return rec
 
 
+def _dEdt(before: DiagnosticsRecord, after: DiagnosticsRecord) -> float:
+    """dE/dt between two records: the one stencil of every dE/dt in the package."""
+    return (after.E - before.E) / (after.t - before.t)
+
+
 def fill_dEdt(records: list[DiagnosticsRecord]) -> list[DiagnosticsRecord]:
     """Fill dEdt in place: centered differences in the interior, one-sided
     at the ends, zero for a single record. Idempotent. Returns the list."""
@@ -95,10 +100,10 @@ def fill_dEdt(records: list[DiagnosticsRecord]) -> list[DiagnosticsRecord]:
     if n == 1:
         records[0].dEdt = 0.0
         return records
-    records[0].dEdt = (records[1].E - records[0].E) / (records[1].t - records[0].t)
-    records[-1].dEdt = (records[-1].E - records[-2].E) / (records[-1].t - records[-2].t)
+    records[0].dEdt = _dEdt(records[0], records[1])
+    records[-1].dEdt = _dEdt(records[-2], records[-1])
     for i in range(1, n - 1):
-        records[i].dEdt = (records[i + 1].E - records[i - 1].E) / (records[i + 1].t - records[i - 1].t)
+        records[i].dEdt = _dEdt(records[i - 1], records[i + 1])
     return records
 
 
@@ -142,10 +147,9 @@ def energy_balance_residual(
     h = np.diff(t)
     if h.min() <= 0.0 or (h.max() - h.min()) > 1e-9 * h.max():
         raise ValueError("records are not at uniform time stride")
-    e = np.array([r.E for r in records])
     v2 = np.array([r.V2 for r in records])
     p_damp = np.array([r.P_damp for r in records])
     p_f = np.array([r.P_f for r in records])
-    dedt = (e[2:] - e[:-2]) / (t[2:] - t[:-2])
+    dedt = np.array([_dEdt(a, b) for a, b in zip(records, records[2:])])
     r = 0.5 * dedt + mu * v2[1:-1] + p_damp[1:-1] - p_f[1:-1]
     return t[1:-1], r

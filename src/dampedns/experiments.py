@@ -40,7 +40,7 @@ __all__ = [
 class ExperimentSpec:
     """One experiment: base configuration plus sweep/perturbation axes."""
 
-    kind: str  # steady_state | parameter_sweep | trajectory_separation | absorbing_sweep
+    kind: str  # steady_state | parameter_sweep | trajectory_separation
     config: RunConfig
     alphas: tuple[float, ...] = ()
     betas: tuple[float, ...] = ()
@@ -58,7 +58,10 @@ class ExperimentSpec:
     )
 
     def __post_init__(self):
-        if self.kind in ("steady_state", "parameter_sweep", "absorbing_sweep"):
+        kinds = ("steady_state", "parameter_sweep", "trajectory_separation")
+        if self.kind not in kinds:
+            raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {', '.join(kinds)}")
+        if self.kind in ("steady_state", "parameter_sweep"):
             if not self.alphas or not self.betas:
                 raise ValueError(f"{self.kind} experiments need non-empty alpha and beta lists")
         if self.kind == "trajectory_separation" and not self.deltas:
@@ -91,6 +94,8 @@ def detect_steady_state(
     rates = np.asarray(rates, float)
     if times.shape != rates.shape:
         raise ValueError("times and rates must have matching shapes")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     ok = rates <= steady_tol
     run = 0
     for i, good in enumerate(ok):
@@ -122,12 +127,12 @@ def run_to_steady(
     """Integrate until the difference quotient stays below steady_tol.
 
     Monitors |u(t + stride) - u(t)|_H between snapshots at a uniform time
-    stride and stops at the first sustained window, or at t0 + max_t.
+    stride and stops at the first sustained window (as
+    :func:`detect_steady_state` finds it), or at t0 + max_t.
     """
     t0 = state.t
     times: list[float] = []
     rates: list[float] = []
-    run = 0
     n_strides = int(math.ceil(max_t / stride - 1e-9))
     for k in range(1, n_strides + 1):
         prev = state.u.coeffs.copy()
@@ -138,9 +143,9 @@ def run_to_steady(
         rate = math.sqrt(h_norm_sq(diff, state.u.grid)) / ((state.t - prev_t) * max(1.0, prev_norm))
         times.append(prev_t)
         rates.append(rate)
-        run = run + 1 if rate <= steady_tol else 0
-        if run >= window:
-            return SteadyRun(True, times[-window], state, np.array(times), np.array(rates))
+        converged, t_c = detect_steady_state(times[-window:], rates[-window:], steady_tol, window)
+        if converged:
+            return SteadyRun(True, t_c, state, np.array(times), np.array(rates))
     return SteadyRun(False, None, state, np.array(times), np.array(rates))
 
 
@@ -183,6 +188,19 @@ class SweepResult:
         ]
 
 
+def _config_to_steady(cfg: RunConfig, spec: ExperimentSpec) -> tuple[Physics, SteadyRun]:
+    """Build the grid, physics and initial state of ``cfg`` and run it to
+    steadiness with the spec's stride, tolerance, horizon and window."""
+    grid = build_grid(cfg)
+    physics = build_physics(cfg, grid)
+    state = build_state(cfg, grid)
+    return physics, run_to_steady(
+        state, cfg.scheme, physics,
+        stride=spec.stride, steady_tol=spec.steady_tol,
+        max_t=spec.max_t, window=spec.window,
+    )
+
+
 def run_steady_state_experiment(spec: ExperimentSpec) -> SweepResult:
     """Run every (alpha, beta) cell from the base configuration to steadiness.
 
@@ -194,15 +212,8 @@ def run_steady_state_experiment(spec: ExperimentSpec) -> SweepResult:
     for alpha in spec.alphas:
         for beta in spec.betas:
             cfg = spec.config.with_damping(alpha, beta)
-            grid = build_grid(cfg)
-            physics = build_physics(cfg, grid)
-            state = build_state(cfg, grid)
             try:
-                run = run_to_steady(
-                    state, cfg.scheme, physics,
-                    stride=spec.stride, steady_tol=spec.steady_tol,
-                    max_t=spec.max_t, window=spec.window,
-                )
+                physics, run = _config_to_steady(cfg, spec)
             except Exception as exc:
                 raise RuntimeError(f"steady-state cell alpha={alpha}, beta={beta} failed: {exc}") from exc
             snap_path = None
@@ -265,18 +276,7 @@ def run_initial_condition_independence(spec: ExperimentSpec) -> ICIndependenceRe
     Returns the H-distance between the two final states and whether it is
     within 10 * steady_tol. Non-convergence of either run is inconclusive.
     """
-    runs = []
-    for ic in spec.ic_pair:
-        cfg = replace(spec.config, initial=ic)
-        grid = build_grid(cfg)
-        physics = build_physics(cfg, grid)
-        state = build_state(cfg, grid)
-        runs.append(run_to_steady(
-            state, cfg.scheme, physics,
-            stride=spec.stride, steady_tol=spec.steady_tol,
-            max_t=spec.max_t, window=spec.window,
-        ))
-    a, b = runs
+    a, b = (_config_to_steady(replace(spec.config, initial=ic), spec)[1] for ic in spec.ic_pair)
     if not (a.converged and b.converged):
         return ICIndependenceResult("inconclusive", None, False, a.t_c, b.t_c)
     grid = a.state.u.grid

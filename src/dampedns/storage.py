@@ -10,6 +10,7 @@ pairs. Restarting from a snapshot continues a run bit-identically.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, DiagnosticsRecord, fill_dEdt
+from .diagnostics import CSV_COLUMNS, DiagnosticsRecord, _dEdt
 from .fields import SpectralVelocity
 from .grid import WaveGrid
 from .timestepping import Physics, SolverState
@@ -57,16 +58,10 @@ def _mark_partial(path: str | Path) -> None:
 
 
 def write_diagnostics(records: list[DiagnosticsRecord], path: str | Path) -> None:
-    """Write records as CSV; fills dEdt in place first (idempotent)."""
-    fill_dEdt(records)
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for r in records:
-                fh.write(",".join(_fmt(v) for v in r.astuple()) + "\n")
-    except OSError as exc:
-        _mark_partial(path)
-        raise StorageError(f"diagnostics write to {path} failed: {exc}") from exc
+    """Write records as CSV; fills dEdt in place (idempotent)."""
+    with DiagnosticsWriter(path) as writer:
+        for r in records:
+            writer.append(r)
 
 
 def read_diagnostics(path: str | Path) -> list[DiagnosticsRecord]:
@@ -89,19 +84,17 @@ def read_diagnostics(path: str | Path) -> list[DiagnosticsRecord]:
 
 
 class DiagnosticsWriter:
-    """Streaming CSV writer with a one-record lag.
+    """One-record-lag streaming writer: the only code that writes a diagnostics CSV.
 
     A row is flushed once its successor arrives so the centered dEdt can be
-    filled; close() flushes the final row with a one-sided difference. The
-    emitted file is identical to a batch :func:`write_diagnostics` of the
-    same records.
+    filled (in place, as :func:`fill_dEdt` would); close() flushes the final
+    row with a one-sided difference.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._pending: DiagnosticsRecord | None = None
-        self._written_e: float | None = None
-        self._written_t: float | None = None
+        self._written: DiagnosticsRecord | None = None
         try:
             self._fh = open(path, "w", newline="\n")
             self._fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -117,29 +110,23 @@ class DiagnosticsWriter:
         except (OSError, ValueError) as exc:
             _mark_partial(self.path)
             raise StorageError(f"diagnostics stream {self.path} failed: {exc}") from exc
-        self._written_e = rec.E
-        self._written_t = rec.t
+        self._written = rec
 
     def append(self, rec: DiagnosticsRecord) -> None:
-        if self._pending is not None:
-            prev = self._pending
-            if self._written_t is None:
-                prev.dEdt = (rec.E - prev.E) / (rec.t - prev.t)
-            else:
-                prev.dEdt = (rec.E - self._written_e) / (rec.t - self._written_t)
+        prev = self._pending
+        if prev is not None:
+            prev.dEdt = _dEdt(prev if self._written is None else self._written, rec)
             self._emit(prev)
         self._pending = rec
 
     def close(self) -> None:
-        if self._pending is not None:
-            last = self._pending
-            if self._written_t is None:
-                last.dEdt = 0.0
-            else:
-                last.dEdt = (last.E - self._written_e) / (last.t - self._written_t)
-            self._emit(last)
-            self._pending = None
-        self._fh.close()
+        last, self._pending = self._pending, None
+        try:
+            if last is not None:
+                last.dEdt = 0.0 if self._written is None else _dEdt(self._written, last)
+                self._emit(last)
+        finally:
+            self._fh.close()
 
     def __enter__(self) -> "DiagnosticsWriter":
         return self
@@ -194,7 +181,8 @@ def _mode_order(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_snapshot(state: SolverState, physics: Physics, path: str | Path) -> None:
-    """Serialize a solver state; the header makes the file self-describing."""
+    """Serialize a solver state; the header makes the file self-describing.
+    The file is replaced atomically: a failed write leaves the old one intact."""
     grid = state.u.grid
     flat, conj = _mode_order(grid)
     vals = state.u.coeffs.reshape(3, -1)[:, flat]
@@ -210,11 +198,15 @@ def write_snapshot(state: SolverState, physics: Physics, path: str | Path) -> No
         state.step_count, state.last_dt,
         flat.size, zlib.crc32(blob),
     )
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(header)
             fh.write(blob)
+        os.replace(tmp, path)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise StorageError(f"snapshot write to {path} failed: {exc}") from exc
 
 

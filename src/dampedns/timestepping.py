@@ -157,9 +157,10 @@ def step(
     of the first stage (the value :func:`adapt_dt` gives), a fixed one uses
     ``scheme.dt``; ``until`` clips it so the step does not pass that time.
     The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
-    terms are advanced explicitly at the configured order. The result is
-    re-projected and re-dealiased so the field invariants hold after every
-    step, and a blow-up guard rejects runaway amplitudes.
+    terms are advanced explicitly at the configured order. Every summand (a
+    valid state, and the kernel output with its forcing) is dealiased
+    already, so the result is only re-projected to keep the field invariants
+    after every step, and a blow-up guard rejects runaway amplitudes.
     """
     grid, coeffs = state.u.grid, state.u.coeffs
     al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
@@ -190,7 +191,6 @@ def step(
         out = e_full * (coeffs + (dt / 6.0) * k1)
         out += (dt / 3.0) * (e_half * (k2 + k3))
         out += (dt / 6.0) * k4
-    out *= grid.dealias_mask_f
     project_coeffs(out, grid)
     t_new = state.t + dt
     peak = float(np.abs(out).max())

@@ -46,6 +46,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="trajectory_separation", config=base_config(), deltas=(0.0,))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown experiment kind"):
+            ExperimentSpec(kind="parameter-sweep", config=base_config())
+
     def test_steady_tol_positive(self):
         with pytest.raises(ValueError):
             ExperimentSpec(kind="steady_state", config=base_config(),

@@ -23,6 +23,7 @@ from dampedns import (
     write_diagnostics,
     write_snapshot,
 )
+from dampedns import storage
 from dampedns.diagnostics import DiagnosticsRecord
 from dampedns.storage import check_restart_compatible, read_snapshot_header
 
@@ -138,6 +139,41 @@ class TestSnapshots:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(StorageError):
             read_snapshot(path)
+
+    def test_failed_write_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        g, ph, sc, st, _ = small_run()
+        path = tmp_path / "s.snap"
+        write_snapshot(st, ph, path)
+        good = path.read_bytes()
+
+        class FailAfterHeader:
+            """A file whose second write (the payload) fails."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(storage, "open", lambda *a, **k: FailAfterHeader(open(*a, **k)),
+                            raising=False)
+        later = SolverState(st.t + 1.0, st.u, st.step_count + 1, st.last_dt)
+        with pytest.raises(StorageError, match="snapshot write"):
+            write_snapshot(later, ph, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        back, _ = read_snapshot(path)
+        assert np.array_equal(back.u.coeffs, st.u.coeffs) and back.t == st.t
+        assert [p.name for p in tmp_path.iterdir()] == ["s.snap"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "s.snap"

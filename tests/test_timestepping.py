@@ -124,12 +124,13 @@ class TestStep:
         e2 = np.abs(run(2) - ref).max()
         assert e1 / e2 == pytest.approx(expect, rel=0.35)
 
-    def test_invariants_hold_after_every_step(self):
+    @pytest.mark.parametrize("method", ["if-rk2", "if-rk4"])
+    def test_invariants_hold_after_every_step(self, method):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=5, energy=1.0)
         f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
         ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=f)
-        sc = SchemeConfig(dt=0.02, adaptive=False)
+        sc = SchemeConfig(method=method, dt=0.02, adaptive=False)
         st = SolverState(0.0, u)
         for _ in range(10):
             st = step(st, sc, ph)
