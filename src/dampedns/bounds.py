@@ -49,6 +49,9 @@ REGIME_BY_CHECK = {
 }
 
 
+SLOPE_TOL = 1e-3  # per time unit, see check_norm_boundedness
+
+
 class RegimeError(ValueError):
     """Physics parameters violate the regime a check requires."""
 
@@ -97,8 +100,8 @@ def _report(bound_id: str, times, margin, tolerance: float, **details) -> BoundR
     return BoundReport(bound_id, checked_at, margin, float(tolerance), passed, details)
 
 
-def _scheme_tolerance(dt: float, order: int, scale: float, c_scheme: float) -> float:
-    return max(1e-8, c_scheme * dt ** order * scale)
+def _scheme_tolerance(dt: float, order: int, scale: float) -> float:
+    return max(1e-8, dt ** order * scale)
 
 
 def check_decay_bound(
@@ -110,7 +113,6 @@ def check_decay_bound(
     *,
     dt: float,
     order: int = 2,
-    c_scheme: float = 1.0,
     tolerance: float | None = None,
 ) -> BoundReport:
     """E(t) <= exp(-mu lambda1 t) E(0) + |f|^2 / (mu^2 lambda1^2) + tol.
@@ -122,7 +124,7 @@ def check_decay_bound(
     e = np.array([r.E for r in records])
     floor = f_norm_sq / (mu ** 2 * lambda1 ** 2)
     bound = np.exp(-mu * lambda1 * (t - t[0])) * e0 + floor
-    tol = _scheme_tolerance(dt, order, e0, c_scheme) if tolerance is None else tolerance
+    tol = _scheme_tolerance(dt, order, e0) if tolerance is None else tolerance
     return _report(
         "energy_decay", t, bound - e, tol,
         e0=e0, f_floor=floor, rate=mu * lambda1,
@@ -140,7 +142,6 @@ def check_integral_bound(
     *,
     dt: float,
     order: int = 2,
-    c_scheme: float = 1.0,
     tolerance: float | None = None,
 ) -> BoundReport:
     """Time-integrated dissipation bound over [s, t].
@@ -177,7 +178,7 @@ def check_integral_bound(
             trap_slack = (t - s) * d2 / 12.0
         else:
             trap_slack = 0.0
-    tol = (_scheme_tolerance(dt, order, e0, c_scheme) + trap_slack) if tolerance is None else tolerance
+    tol = (_scheme_tolerance(dt, order, e0) + trap_slack) if tolerance is None else tolerance
     return _report(
         "energy_integral", [s, t], [rhs - lhs], tol,
         lhs=lhs, rhs=rhs, trapezoid_slack=trap_slack,
@@ -193,7 +194,6 @@ def check_absorbing_ball(
     *,
     dt: float,
     order: int = 2,
-    c_scheme: float = 1.0,
     t_slack: float = 1.0,
 ) -> BoundReport:
     """Entry into and residence in the ball |u|^2 <= 1 + |f|^2/(mu^2 lambda1^2).
@@ -216,7 +216,7 @@ def check_absorbing_ball(
             f"{math.exp(-mu * lambda1 * horizon) * e0:.3e} > entry_tol = {entry_tol:g}"
         )
     radius_sq = 1.0 + f_norm_sq / (mu ** 2 * lambda1 ** 2)
-    tol = _scheme_tolerance(dt, order, radius_sq, c_scheme)
+    tol = _scheme_tolerance(dt, order, radius_sq)
 
     inside = np.flatnonzero(e <= radius_sq)
     if inside.size == 0:
@@ -241,8 +241,6 @@ def check_norm_boundedness(
     mu: float,
     alpha: float,
     beta: float,
-    *,
-    slope_tol: float = 1e-3,
 ) -> BoundReport:
     """Empirical boundedness of ||u||^2, |u|_{beta+1}^{beta+1} and |Au|^2.
 
@@ -250,7 +248,7 @@ def check_norm_boundedness(
     regularity regime but the constants are non-constructive, so the check
     is empirical: it reports the suprema after burn-in and asserts there is
     no growth trend over the final half of the run (slope of the log
-    sup-envelope at most ``slope_tol`` per time unit). Regime violations are
+    sup-envelope at most ``SLOPE_TOL`` per time unit). Regime violations are
     precondition errors.
     """
     if not in_regularity_regime(mu, alpha, beta):
@@ -281,7 +279,7 @@ def check_norm_boundedness(
         else:
             slope = float(np.polyfit(th, np.log(eh + 1e-300), 1)[0])
         details["slopes"][name] = slope
-        margins.append(slope_tol - slope)
+        margins.append(SLOPE_TOL - slope)
     return _report("norm_boundedness", [t_half, t_tail[-1]], margins, 0.0, **details)
 
 

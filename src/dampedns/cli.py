@@ -7,7 +7,8 @@ every energy-estimate check, nonzero exit on a hard failure), ``sweep``
 configurations). Summaries go to stdout as JSON; artifacts land in the
 configured output directory.
 
-Exit codes: 0 success, 1 failed checks or solver errors, 2 usage errors.
+Exit codes: 0 success, 1 failed checks or solver errors, 2 usage errors
+(a bad config, preset or flag value, or a restart past t_end).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .config import (
     build_grid,
     build_physics,
     build_state,
+    checked,
     load_preset,
     parse_config,
     preset_names,
@@ -72,6 +74,8 @@ def _run_one(cfg: RunConfig, restart: str | None = None):
     if restart:
         state, header = read_snapshot(restart)
         check_restart_compatible(header, grid, physics)
+        if cfg.t_end < state.t:
+            raise ConfigError(f"[run] t_end = {cfg.t_end} precedes the restart snapshot time {state.t}")
     else:
         state = build_state(cfg, grid)
 
@@ -147,14 +151,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = load_preset("cylinder-a02-b1")
-    scheme = replace(base.scheme, dt_max=args.dt_max)
-    cfg = replace(base, n=args.n, mu=args.mu, scheme=scheme, output_dir=args.out)
-    spec = ExperimentSpec(
-        kind="parameter_sweep", config=cfg,
-        alphas=tuple(args.alphas), betas=tuple(args.betas),
-        steady_tol=args.steady_tol, max_t=args.max_t, stride=args.stride,
-        snapshot_dir=args.out,
-    )
+    with checked("sweep"):
+        scheme = replace(base.scheme, dt_max=args.dt_max)
+        cfg = replace(base, n=args.n, mu=args.mu, scheme=scheme, output_dir=args.out)
+        spec = ExperimentSpec(
+            kind="parameter_sweep", config=cfg,
+            alphas=tuple(args.alphas), betas=tuple(args.betas),
+            steady_tol=args.steady_tol, max_t=args.max_t, stride=args.stride,
+            snapshot_dir=args.out,
+        )
     result = run_convergence_speed_sweep(spec)
     for row in result.table():
         _emit(row)
@@ -168,16 +173,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_separate(args) -> int:
     base = load_preset("cylinder-a02-b1")
-    scheme = replace(base.scheme, dt=args.dt, adaptive=False)
-    cfg = replace(
-        base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme,
-        initial=replace(base.initial, kind="random", seed=args.seed, energy=args.energy),
-    )
-    spec = ExperimentSpec(
-        kind="trajectory_separation", config=cfg,
-        deltas=tuple(args.deltas), perturb_seed=args.perturb_seed,
-        max_t=args.t, stride=args.stride,
-    )
+    with checked("separate"):
+        scheme = replace(base.scheme, dt=args.dt, adaptive=False)
+        cfg = replace(
+            base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme,
+            initial=replace(base.initial, kind="random", seed=args.seed, energy=args.energy),
+        )
+        spec = ExperimentSpec(
+            kind="trajectory_separation", config=cfg,
+            deltas=tuple(args.deltas), perturb_seed=args.perturb_seed,
+            max_t=args.t, stride=args.stride,
+        )
     result = run_trajectory_separation(spec)
     for run in result.runs:
         _emit({"delta": run.delta, "max_ratio": run.ratio, "growth_rate": run.growth_rate})

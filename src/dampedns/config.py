@@ -2,8 +2,10 @@
 
 Format: INI-like sections ``[physics] [grid] [forcing] [scheme] [run]``
 with one ``key = value`` pair per line and ``#`` comments. Unknown keys are
-errors (no silent defaults for misspellings); every diagnostic carries the
-line number.
+errors (no silent defaults for misspellings). Syntax and type errors carry
+the line number. Range errors name the section: the dataclasses call the
+owning module's check whenever they are built, ``replace`` included.
+Defaults live on the dataclasses.
 
 Keys and defaults
 -----------------
@@ -21,10 +23,13 @@ Keys and defaults
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .grid import WaveGrid
-from .fields import ForcingField, SpectralVelocity, make_initial_condition
+from .grid import WaveGrid, check_grid
+from .fields import ForcingField, SpectralVelocity, check_cylinder, check_initial, make_initial_condition
+from .operators import check_physics
 from .timestepping import Physics, SchemeConfig, SolverState
 
 __all__ = [
@@ -32,6 +37,7 @@ __all__ = [
     "ForcingSpec",
     "InitialSpec",
     "RunConfig",
+    "checked",
     "parse_config",
     "preset_names",
     "load_preset",
@@ -48,6 +54,17 @@ class ConfigError(ValueError):
     """Malformed or out-of-range configuration."""
 
 
+@contextmanager
+def checked(section: str):
+    """Re-raise the ValueError of an owner's check as ConfigError("[section] message")."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 @dataclass(frozen=True)
 class ForcingSpec:
     kind: str = "zero"  # zero | cylinder
@@ -58,6 +75,12 @@ class ForcingSpec:
     center: tuple[float, float, float] | None = None
     smooth_cells: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "cylinder"):
+            raise ConfigError(f"[forcing] kind must be 'zero' or 'cylinder', got {self.kind!r}")
+        with checked("forcing"):
+            check_cylinder(self.axis, self.radius, self.height, self.smooth_cells, self.force, self.center)
+
 
 @dataclass(frozen=True)
 class InitialSpec:
@@ -67,6 +90,10 @@ class InitialSpec:
     energy: float = 1.0
     slope: float = -4.0
     vector: tuple[float, float, float] = (1.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        with checked("run"):
+            check_initial(self.kind, self.energy, self.amplitude, self.slope, self.vector)
 
 
 @dataclass(frozen=True)
@@ -84,6 +111,18 @@ class RunConfig:
     snapshot_stride: int = 0
     output_dir: str = "out"
     run_id: str = "run"
+
+    def __post_init__(self):
+        with checked("physics"):
+            check_physics(self.alpha, self.beta, self.mu)
+        with checked("grid"):
+            check_grid(self.n, self.length)
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError(f"[run] t_end must be > 0 and finite, got {self.t_end}")
+        if self.diag_stride < 1:
+            raise ConfigError(f"[run] diag_stride must be >= 1, got {self.diag_stride}")
+        if self.snapshot_stride < 0:
+            raise ConfigError(f"[run] snapshot_stride must be >= 0, got {self.snapshot_stride}")
 
     def with_damping(self, alpha: float, beta: float) -> "RunConfig":
         return replace(self, alpha=alpha, beta=beta)
@@ -113,20 +152,24 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "physics": {"mu": float, "alpha": float, "beta": float},
     "grid": {"n": int, "l": float},
     "forcing": {
-        "kind": str, "radius": float, "height": float, "axis": str,
+        "kind": str.lower, "radius": float, "height": float, "axis": str.lower,
         "force": _to_vec3, "center": _to_vec3, "smooth_cells": float,
     },
     "scheme": {
-        "method": str, "dt": float, "dt_min": float, "dt_max": float,
+        "method": str.lower, "dt": float, "dt_min": float, "dt_max": float,
         "cfl": float, "adaptive": _to_bool,
     },
     "run": {
-        "t_end": float, "ic": str, "ic_amplitude": float, "ic_seed": int,
+        "t_end": float, "ic": str.lower, "ic_amplitude": float, "ic_seed": int,
         "ic_energy": float, "ic_slope": float, "ic_vector": _to_vec3,
         "diag_stride": int, "snapshot_stride": int,
         "output_dir": str, "run_id": str,
     },
 }
+
+# dataclass field of each key whose name differs; the ic keys set InitialSpec
+_FIELD = {"l": "length", "cfl": "cfl_target", "ic": "kind", "ic_amplitude": "amplitude",
+          "ic_seed": "seed", "ic_energy": "energy", "ic_slope": "slope", "ic_vector": "vector"}
 
 _REQUIRED = (("physics", "mu"), ("physics", "alpha"), ("physics", "beta"),
              ("grid", "n"), ("grid", "l"))
@@ -159,108 +202,27 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[str, int]]:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration. Unknown keys are errors."""
+    """Parse a configuration; the dataclasses it builds check every range."""
     entries = _parse_lines(text)
     for sec, key in _REQUIRED:
         if (sec, key) not in entries:
             raise ConfigError(f"missing required key {key!r} in [{sec}]")
 
-    converted: dict[tuple[str, str], object] = {}
+    top: dict[str, object] = {}
+    initial: dict[str, object] = {}
+    kwargs = {"physics": top, "grid": top, "run": top, "forcing": {}, "scheme": {}}
     for (sec, key), (raw, lineno) in entries.items():
-        conv = _SCHEMA[sec][key]
         try:
-            converted[(sec, key)] = conv(raw)  # type: ignore[operator]
+            value = _SCHEMA[sec][key](raw)  # type: ignore[operator]
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        target = initial if key.startswith("ic") else kwargs[sec]
+        target[_FIELD.get(key, key)] = value
 
-    def get(sec: str, key: str, default=None):
-        return converted.get((sec, key), default)
-
-    def fail(sec: str, key: str, message: str):
-        lineno = entries[(sec, key)][1] if (sec, key) in entries else "?"
-        raise ConfigError(f"line {lineno}: {message}")
-
-    mu = get("physics", "mu")
-    alpha = get("physics", "alpha")
-    beta = get("physics", "beta")
-    if mu <= 0:
-        fail("physics", "mu", f"mu must be > 0 (kinematic viscosity), got {mu}")
-    if alpha <= 0:
-        fail("physics", "alpha", f"alpha must be > 0 (damping strength), got {alpha}")
-    if beta < 1:
-        fail("physics", "beta", f"beta must be >= 1 (damping exponent lower bound), got {beta}")
-
-    n = get("grid", "n")
-    length = get("grid", "l")
-    if n < 4 or n % 2 != 0:
-        fail("grid", "n", f"n must be an even integer >= 4, got {n}")
-    if length <= 0:
-        fail("grid", "l", f"l must be > 0, got {length}")
-
-    kind = get("forcing", "kind", "zero").lower()
-    if kind not in ("zero", "cylinder"):
-        fail("forcing", "kind", f"forcing kind must be 'zero' or 'cylinder', got {kind!r}")
-    axis = get("forcing", "axis", "y").lower()
-    if axis not in ("x", "y", "z"):
-        fail("forcing", "axis", f"axis must be x, y or z, got {axis!r}")
-    smooth = get("forcing", "smooth_cells", 1.0)
-    if smooth < 0:
-        fail("forcing", "smooth_cells", "smooth_cells must be >= 0")
-    forcing = ForcingSpec(
-        kind=kind,
-        radius=get("forcing", "radius"),
-        height=get("forcing", "height"),
-        axis=axis,
-        force=get("forcing", "force", (0.0, 2.0, 0.0)),
-        center=get("forcing", "center"),
-        smooth_cells=smooth,
-    )
-
-    method = get("scheme", "method", "if-rk2").lower()
-    try:
-        scheme = SchemeConfig(
-            method=method,
-            dt=get("scheme", "dt", 1e-2),
-            dt_min=get("scheme", "dt_min", 1e-8),
-            dt_max=get("scheme", "dt_max", 0.1),
-            cfl_target=get("scheme", "cfl", 0.4),
-            adaptive=get("scheme", "adaptive", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[scheme]: {exc}") from None
-
-    ic_kind = get("run", "ic", "zero").lower()
-    if ic_kind not in ("zero", "shear", "random", "uniform"):
-        fail("run", "ic", f"ic must be zero, shear, random or uniform, got {ic_kind!r}")
-    ic_energy = get("run", "ic_energy", 1.0)
-    if ic_energy < 0:
-        fail("run", "ic_energy", f"ic_energy must be >= 0, got {ic_energy}")
-    initial = InitialSpec(
-        kind=ic_kind,
-        amplitude=get("run", "ic_amplitude", 1.0),
-        seed=get("run", "ic_seed", 0),
-        energy=ic_energy,
-        slope=get("run", "ic_slope", -4.0),
-        vector=get("run", "ic_vector", (1.0, 0.0, 0.0)),
-    )
-
-    t_end = get("run", "t_end", 1.0)
-    if t_end < 0:
-        fail("run", "t_end", f"t_end must be >= 0, got {t_end}")
-    diag_stride = get("run", "diag_stride", 10)
-    if diag_stride < 1:
-        fail("run", "diag_stride", f"diag_stride must be >= 1, got {diag_stride}")
-    snapshot_stride = get("run", "snapshot_stride", 0)
-    if snapshot_stride < 0:
-        fail("run", "snapshot_stride", f"snapshot_stride must be >= 0, got {snapshot_stride}")
-
-    return RunConfig(
-        mu=mu, alpha=alpha, beta=beta, n=n, length=length,
-        forcing=forcing, initial=initial, scheme=scheme,
-        t_end=t_end, diag_stride=diag_stride, snapshot_stride=snapshot_stride,
-        output_dir=get("run", "output_dir", "out"),
-        run_id=get("run", "run_id", "run"),
-    )
+    with checked("scheme"):
+        scheme = SchemeConfig(**kwargs["scheme"])
+    return RunConfig(**top, forcing=ForcingSpec(**kwargs["forcing"]),
+                     initial=InitialSpec(**initial), scheme=scheme)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from .bounds import RegimeError, REGIME_BY_CHECK, in_uniqueness_regime
 from .config import RunConfig, InitialSpec, build_grid, build_physics, build_state
 from .fields import SpectralVelocity, h_norm_sq, make_initial_condition
+from .operators import check_physics
 from .timestepping import Physics, SchemeConfig, SolverState, integrate
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "run_convergence_speed_sweep",
 ]
 
+RATIO_FACTOR = 2.0  # see run_trajectory_separation
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -49,12 +52,10 @@ class ExperimentSpec:
     steady_tol: float = 1e-6
     max_t: float = 200.0
     stride: float = 0.25
-    window: int = 10
-    ratio_factor: float = 2.0
     snapshot_dir: str | None = None  # persist final cell states when set
     ic_pair: tuple[InitialSpec, InitialSpec] = (
         InitialSpec(kind="zero"),
-        InitialSpec(kind="uniform", vector=(1.0, 0.0, 0.0)),
+        InitialSpec(kind="random", seed=5, energy=1.0),
     )
 
     def __post_init__(self):
@@ -66,12 +67,15 @@ class ExperimentSpec:
                 raise ValueError(f"{self.kind} experiments need non-empty alpha and beta lists")
         if self.kind == "trajectory_separation" and not self.deltas:
             raise ValueError("trajectory_separation experiments need perturbation amplitudes")
-        if any(d <= 0 for d in self.deltas):
-            raise ValueError("perturbation amplitudes must be positive")
-        if self.steady_tol <= 0:
-            raise ValueError("steady_tol must be positive")
-        if self.stride <= 0 or self.max_t <= 0:
-            raise ValueError("stride and max_t must be positive")
+        if not all(0.0 < d < math.inf for d in self.deltas):
+            raise ValueError(f"perturbation amplitudes must be > 0 and finite, got {self.deltas}")
+        if not 0.0 < self.steady_tol < math.inf:
+            raise ValueError(f"steady_tol must be > 0 and finite, got {self.steady_tol}")
+        if not 0.0 < self.stride <= self.max_t < math.inf:
+            raise ValueError(f"need 0 < stride <= max_t < inf, got stride={self.stride}, max_t={self.max_t}")
+        for alpha in self.alphas:
+            for beta in self.betas:
+                check_physics(alpha, beta)
 
 
 # ----------------------------------------------------------------------
@@ -190,14 +194,13 @@ class SweepResult:
 
 def _config_to_steady(cfg: RunConfig, spec: ExperimentSpec) -> tuple[Physics, SteadyRun]:
     """Build the grid, physics and initial state of ``cfg`` and run it to
-    steadiness with the spec's stride, tolerance, horizon and window."""
+    steadiness with the spec's stride, tolerance and horizon."""
     grid = build_grid(cfg)
     physics = build_physics(cfg, grid)
     state = build_state(cfg, grid)
     return physics, run_to_steady(
         state, cfg.scheme, physics,
-        stride=spec.stride, steady_tol=spec.steady_tol,
-        max_t=spec.max_t, window=spec.window,
+        stride=spec.stride, steady_tol=spec.steady_tol, max_t=spec.max_t,
     )
 
 
@@ -314,7 +317,7 @@ def run_trajectory_separation(spec: ExperimentSpec) -> SeparationResult:
     compared against one perturbed run per amplitude; the perturbation is a
     fixed random divergence-free field of unit norm, so d(0) = delta. The
     ratio test sup_t d(t)/delta across amplitudes quantifies uniform
-    continuous dependence: a spread within ``ratio_factor`` means the
+    continuous dependence: a spread within ``RATIO_FACTOR`` means the
     response scales linearly with the perturbation.
     """
     cfg = spec.config
@@ -355,4 +358,4 @@ def run_trajectory_separation(spec: ExperimentSpec) -> SeparationResult:
 
     ratios = [r.ratio for r in runs]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    return SeparationResult(runs, spread, spread <= spec.ratio_factor)
+    return SeparationResult(runs, spread, spread <= RATIO_FACTOR)

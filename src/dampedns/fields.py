@@ -8,6 +8,7 @@ representation used by the nonlinear and damping terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
     "divergence_max",
     "hermitian_defect",
     "dealias_leak",
+    "check_cylinder",
+    "check_initial",
     "make_initial_condition",
 ]
 
@@ -159,6 +162,20 @@ class PhysicalVelocity:
 # forcing
 # ----------------------------------------------------------------------
 
+def check_cylinder(axis: str, radius: float | None, height: float | None, smooth_cells: float,
+                   force: tuple[float, float, float], center: tuple[float, float, float] | None) -> None:
+    """Raise FieldError unless the cylinder is valid; None stands for the default size or centre."""
+    if axis not in ("x", "y", "z"):
+        raise FieldError(f"cylinder axis must be x, y or z, got {axis!r}")
+    for name, size in (("radius", radius), ("height", height)):
+        if size is not None and not 0.0 < size < math.inf:
+            raise FieldError(f"cylinder {name} must be > 0 and finite, got {size}")
+    if not 0.0 <= smooth_cells < math.inf:
+        raise FieldError(f"smooth_cells must be >= 0 and finite, got {smooth_cells}")
+    if not all(map(math.isfinite, (*force, *(center or ())))):
+        raise FieldError(f"cylinder force and center must be finite, got {force} and {center}")
+
+
 class ForcingField:
     """Autonomous body force, cached as projected dealiased coefficients.
 
@@ -209,6 +226,7 @@ class ForcingField:
         the force (0, 2, 0). The indicator is smoothed over ``smooth_cells``
         grid cells in spectral space to limit Gibbs ringing.
         """
+        check_cylinder(axis, radius, height, smooth_cells, force, center)
         L = grid.length
         if center is None:
             center = (L / 2.0, L / 2.0, L / 2.0)
@@ -216,10 +234,6 @@ class ForcingField:
             radius = L / 3.0
         if height is None:
             height = L / 3.0
-        if axis not in ("x", "y", "z"):
-            raise FieldError(f"cylinder axis must be one of x, y, z, got {axis!r}")
-        if radius <= 0 or height <= 0:
-            raise FieldError("cylinder radius and height must be positive")
 
         coords = grid.meshgrid()
         # periodic minimum-image offsets from the centre
@@ -262,8 +276,6 @@ def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> S
     Per-mode energy follows |u_hat(k)|^2 ~ |k|^slope before projection;
     negative slopes concentrate energy at large scales.
     """
-    if energy < 0.0:
-        raise FieldError(f"initial energy must be nonnegative, got {energy}")
     from .operators import project_coeffs
 
     rng = np.random.default_rng(seed)
@@ -302,6 +314,17 @@ def _uniform_projected(grid: WaveGrid, vector: tuple[float, float, float]) -> Sp
     return SpectralVelocity(grid, c)
 
 
+def check_initial(kind: str, energy: float, amplitude: float, slope: float,
+                  vector: tuple[float, float, float]) -> None:
+    """Raise FieldError unless ``kind`` (ic) is known, energy >= 0 and every value is finite."""
+    if kind not in ("zero", "shear", "random", "uniform"):
+        raise FieldError(f"ic must be zero, shear, random or uniform, got {kind!r}")
+    if not 0.0 <= energy < math.inf:
+        raise FieldError(f"ic_energy must be >= 0 and finite, got {energy}")
+    if not all(map(math.isfinite, (amplitude, slope, *vector))):
+        raise FieldError(f"ic_amplitude, ic_slope and ic_vector must be finite, got {amplitude}, {slope}, {vector}")
+
+
 def make_initial_condition(
     grid: WaveGrid,
     kind: str,
@@ -318,12 +341,11 @@ def make_initial_condition(
     fixed seed, scaled so |u0|^2 = energy) or ``uniform`` (a constant vector
     passed through the projection).
     """
+    check_initial(kind, energy, amplitude, slope, vector)
     if kind == "zero":
         return _zero(grid)
     if kind == "shear":
         return _shear(grid, amplitude)
     if kind == "random":
         return _random_divfree(grid, seed, energy, slope)
-    if kind == "uniform":
-        return _uniform_projected(grid, vector)
-    raise FieldError(f"unknown initial condition kind {kind!r}")
+    return _uniform_projected(grid, vector)

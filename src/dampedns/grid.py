@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as _fft
 
-__all__ = ["GridError", "WaveGrid", "stokes_lambda1", "set_fft_workers", "get_fft_workers"]
+__all__ = ["GridError", "WaveGrid", "check_grid", "stokes_lambda1", "set_fft_workers", "get_fft_workers"]
 
 
 class GridError(ValueError):
@@ -39,6 +39,14 @@ def get_fft_workers() -> int:
     return _FFT_WORKERS
 
 
+def check_grid(n: int, length: float) -> None:
+    """Raise GridError unless n is an even integer >= 4 and the period is positive and finite."""
+    if n < 4 or n % 2 != 0:
+        raise GridError(f"n must be an even integer >= 4, got {n}")
+    if not 0.0 < length < np.inf:
+        raise GridError(f"torus period l must be > 0 and finite, got {length}")
+
+
 class WaveGrid:
     """Wavenumbers, dealias mask and transforms for one N^3 periodic box.
 
@@ -51,10 +59,7 @@ class WaveGrid:
     """
 
     def __init__(self, n: int, length: float):
-        if n < 4 or n % 2 != 0:
-            raise GridError(f"grid size must be an even integer >= 4, got {n}")
-        if not (length > 0.0 and np.isfinite(length)):
-            raise GridError(f"torus period must be positive and finite, got {length}")
+        check_grid(n, length)
         self.n = int(n)
         self.length = float(length)
         self.nk = self.n // 2 + 1  # stored modes along the last axis

@@ -20,12 +20,23 @@ from .grid import WaveGrid
 from .fields import SpectralVelocity
 
 __all__ = [
+    "check_physics",
     "project_coeffs",
     "leray_project",
     "nonlinear_term",
     "damping_term",
     "nonviscous_rhs",
 ]
+
+
+def check_physics(alpha: float, beta: float, mu: float | None = None) -> None:
+    """Raise ValueError unless mu > 0 (when given), alpha > 0 and beta >= 1, all finite."""
+    if mu is not None and not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be > 0 and finite (kinematic viscosity), got {mu}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be > 0 and finite (damping strength), got {alpha}")
+    if not 1.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 1 and finite (damping exponent), got {beta}")
 
 
 def project_coeffs(coeffs: np.ndarray, grid: WaveGrid) -> np.ndarray:
@@ -133,10 +144,7 @@ def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelo
     is -alpha u with no transforms at all; otherwise it is the RHS kernel
     without the convective term.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"damping strength alpha must be positive, got {alpha}")
-    if beta < 1.0:
-        raise ValueError(f"damping exponent beta must be >= 1, got {beta}")
+    check_physics(alpha, beta)
     grid = u.grid
     if beta == 1.0:
         return SpectralVelocity(grid, -alpha * u.coeffs)

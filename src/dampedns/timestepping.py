@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import WaveGrid
 from .fields import ForcingField, SpectralVelocity
-from .operators import nonviscous_rhs, project_coeffs
+from .operators import check_physics, nonviscous_rhs, project_coeffs
 
 __all__ = [
     "SolverError",
@@ -70,9 +70,9 @@ class SchemeConfig:
     def __post_init__(self):
         if self.method not in _SCHEME_ORDERS:
             raise ValueError(f"unknown scheme {self.method!r}; choose from {sorted(_SCHEME_ORDERS)}")
-        if not (0.0 < self.dt_min <= self.dt <= self.dt_max):
+        if not (0.0 < self.dt_min <= self.dt <= self.dt_max < np.inf):
             raise ValueError(
-                f"need 0 < dt_min <= dt <= dt_max, got dt_min={self.dt_min}, dt={self.dt}, dt_max={self.dt_max}"
+                f"need 0 < dt_min <= dt <= dt_max < inf, got dt_min={self.dt_min}, dt={self.dt}, dt_max={self.dt_max}"
             )
         if not (0.0 < self.cfl_target <= 1.0):
             raise ValueError(f"cfl_target must lie in (0, 1], got {self.cfl_target}")
@@ -92,12 +92,7 @@ class Physics:
     forcing: ForcingField
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError(f"viscosity mu must be positive, got {self.mu}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"damping strength alpha must be positive, got {self.alpha}")
-        if self.beta < 1.0:
-            raise ValueError(f"damping exponent beta must be >= 1, got {self.beta}")
+        check_physics(self.alpha, self.beta, self.mu)
 
 
 @dataclass

@@ -108,6 +108,19 @@ class TestRunCommand:
         assert code == 0
         assert rows[-1]["t_end"] == pytest.approx(0.3)  # already at t_end
 
+    def test_restart_past_t_end_exits_2_and_keeps_csv(self, capsys, tmp_path):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CONFIG + f"output_dir = {tmp_path}/out\n")
+        assert main(["run", str(cfg)]) == 0
+        csv = (tmp_path / "out" / "quick.csv").read_bytes()
+        cfg.write_text(cfg.read_text().replace("t_end = 0.3", "t_end = 0.1"))
+        capsys.readouterr()
+        code = main(["run", str(cfg), "--restart", f"{tmp_path}/out/quick-final.snap"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: [run] t_end")
+        assert (tmp_path / "out" / "quick.csv").read_bytes() == csv
+
 
 class TestVerifyCommand:
     def test_decay_preset_passes(self, capsys, tmp_path, monkeypatch):
@@ -154,6 +167,15 @@ class TestSeparateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "uniqueness" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "9"), ("--dt", "0.1"), ("--deltas", "0"), ("--t", "0.02"),
+    ])
+    def test_bad_flag_exits_2(self, capsys, flag, value):
+        code = main(["separate", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_quick_separation(self, capsys, tmp_path):
         code, rows, _ = run_cli(

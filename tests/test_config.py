@@ -1,5 +1,7 @@
 """Config parsing, validation diagnostics, presets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,27 @@ class TestRangeChecks:
             parse_config(MINIMAL + "\n[scheme]\nmethod = euler\n")
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[scheme]\ndt = 1.0\ndt_max = 0.1\n")
+
+    @pytest.mark.parametrize("line, section, replaces", [
+        ("l = inf", "grid", "l = 6.283185307179586"),
+        ("l = nan", "grid", "l = 6.283185307179586"),
+        ("mu = nan", "physics", "mu = 0.1"),
+        ("alpha = inf", "physics", "alpha = 0.2"),
+        ("beta = nan", "physics", "beta = 1.0"),
+        ("radius = -1", "forcing", None),
+        ("height = 0", "forcing", None),
+        ("smooth_cells = -1", "forcing", None),
+        ("ic_energy = nan", "run", None),
+        ("t_end = 0", "run", None),
+    ])
+    def test_out_of_range_names_section(self, line, section, replaces):
+        text = MINIMAL.replace(replaces, line) if replaces else MINIMAL + f"\n[{section}]\n{line}\n"
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
+            parse_config(text)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ConfigError, match=r"^\[grid\] n must be an even integer"):
+            replace(parse_config(MINIMAL), n=9)
 
     def test_run_checks(self):
         with pytest.raises(ConfigError, match="diag_stride"):

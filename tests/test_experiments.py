@@ -1,5 +1,7 @@
 """Steady-state detection, sweeps, separation runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from dampedns import (
     WaveGrid,
     make_initial_condition,
 )
-from dampedns.config import ForcingSpec, InitialSpec, RunConfig
+from dampedns.config import ForcingSpec, InitialSpec, RunConfig, build_grid, build_initial
 from dampedns.experiments import (
     ExperimentSpec,
     detect_steady_state,
@@ -49,6 +51,15 @@ class TestSpecValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment kind"):
             ExperimentSpec(kind="parameter-sweep", config=base_config())
+
+    def test_stride_within_horizon(self):
+        with pytest.raises(ValueError, match="stride <= max_t"):
+            ExperimentSpec(kind="trajectory_separation", config=base_config(),
+                           deltas=(1e-2,), max_t=0.02, stride=0.25)
+
+    def test_damping_axes_in_range(self):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            ExperimentSpec(kind="parameter_sweep", config=base_config(), alphas=(0.2, 0.0), betas=(1.0,))
 
     def test_steady_tol_positive(self):
         with pytest.raises(ValueError):
@@ -201,10 +212,18 @@ class TestICIndependence:
         # the determinism check
         cfg = base_config()
         spec = ExperimentSpec(kind="steady_state", config=cfg, alphas=(0.2,), betas=(1.0,),
-                              steady_tol=1e-5, max_t=60.0, stride=0.5)
+                              steady_tol=1e-5, max_t=60.0, stride=0.5,
+                              ic_pair=(InitialSpec(kind="zero"),
+                                       InitialSpec(kind="uniform", vector=(1.0, 0.0, 0.0))))
         res = run_initial_condition_independence(spec)
         assert res.status == "converged"
         assert res.distance <= 1e-12
+
+    def test_default_pair_differs(self):
+        spec = ExperimentSpec(kind="steady_state", config=base_config(), alphas=(0.2,), betas=(1.0,))
+        grid = build_grid(spec.config)
+        a, b = (build_initial(replace(spec.config, initial=ic), grid) for ic in spec.ic_pair)
+        assert not np.array_equal(a.coeffs, b.coeffs)
 
     def test_distinct_ics_reach_same_forced_steady_state(self):
         cfg = base_config()
