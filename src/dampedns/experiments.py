@@ -73,6 +73,11 @@ class ExperimentSpec:
             raise ValueError(f"steady_tol must be > 0 and finite, got {self.steady_tol}")
         if not 0.0 < self.stride <= self.max_t < math.inf:
             raise ValueError(f"need 0 < stride <= max_t < inf, got stride={self.stride}, max_t={self.max_t}")
+        strides = self.max_t / self.stride
+        if self.kind == "trajectory_separation" and abs(strides - round(strides)) > 1e-9 * strides:
+            raise ValueError(
+                f"trajectory_separation needs a horizon of whole strides, got max_t={self.max_t}, stride={self.stride}"
+            )
         for alpha in self.alphas:
             for beta in self.betas:
                 check_physics(alpha, beta)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -196,6 +197,11 @@ class ForcingField:
         self.coeffs = c
         self.description = description
         self.norm_sq = h_norm_sq(c, grid)
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The coefficients in the retained-block layout the integrator steps on."""
+        return self.grid.gather(self.coeffs)
 
     @classmethod
     def zero(cls, grid: WaveGrid) -> "ForcingField":

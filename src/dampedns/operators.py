@@ -4,6 +4,9 @@ Everything here acts on the projected, dealiased spectral representation:
 the Leray projection eliminates the pressure, the viscous term is diagonal
 (handled by the time integrator), and the convective and damping terms are
 evaluated pseudo-spectrally with 2/3-rule dealiasing, all by one kernel.
+The kernel works on the retained block of the spectrum (see
+:mod:`dampedns.grid`), so dealiasing holds by construction; the public
+functions take and return the full half-spectrum layout.
 The convective term is in rotational form: -(u . grad) u and u x omega
 (omega = curl u) differ by the gradient of |u|^2/2, which the projection
 removes, and u . (u x omega) = 0 at every grid point, so energy
@@ -44,13 +47,15 @@ def project_coeffs(coeffs: np.ndarray, grid: WaveGrid) -> np.ndarray:
 
     Acts mode-by-mode with the real symmetric matrix I - k k^T/|k|^2, so it
     is idempotent and preserves Hermitian symmetry and the dealias support.
-    The k = 0 mode is zeroed outright (zero-mean constraint).
+    The k = 0 mode is zeroed outright (zero-mean constraint). Takes either
+    the half-spectrum or the retained-block layout.
     """
-    kv = grid.kvec
+    block = grid.is_block(coeffs)
+    kv = grid.kvec_b if block else grid.kvec
     div = kv[0] * coeffs[0]
     div += kv[1] * coeffs[1]
     div += kv[2] * coeffs[2]
-    div *= grid.inv_ksq
+    div *= grid.inv_ksq_b if block else grid.inv_ksq
     coeffs[0] -= kv[0] * div
     coeffs[1] -= kv[1] * div
     coeffs[2] -= kv[2] * div
@@ -81,18 +86,19 @@ def _rhs_kernel(
     coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
     forcing_coeffs: np.ndarray | None, convective: bool = True,
 ) -> tuple[np.ndarray, float]:
-    """(P[u x omega - alpha |u|^(beta-1) u] + f_hat, max|u(x)|).
+    """(P[u x omega - alpha |u|^(beta-1) u] + f_hat, max|u(x)|) on retained blocks.
 
+    ``coeffs``, ``forcing_coeffs`` and the result are in the block layout.
     One batched inverse transform of [u_hat, ik x u_hat] (only u_hat when
     ``convective`` is off), the force formed pointwise, one three-component
-    forward transform. s2 = u . u feeds both the damping factor and the peak
-    speed; sqrt(max s2) is bitwise the max of the pointwise speeds.
+    forward transform whose retained block is kept. s2 = u . u feeds both
+    the damping factor and the peak speed; sqrt(max s2) is bitwise the max
+    of the pointwise speeds.
     """
-    n = grid.n
     if convective:
-        stack = np.empty((6, n, n, grid.nk), np.complex128)
+        stack = np.empty(grid.block_shape(6), np.complex128)
         stack[:3] = coeffs
-        ik = grid._ikvec
+        ik = grid.ikvec_b
         for i, j, k in _CYCLIC:
             np.multiply(ik[j], coeffs[k], out=stack[3 + i])
             stack[3 + i] -= ik[k] * coeffs[j]
@@ -117,12 +123,22 @@ def _rhs_kernel(
         fac = s2 ** ((beta - 1.0) / 2.0)
         fac *= alpha
     force -= fac * u
-    out = grid.to_spectral(force)
-    out *= grid.dealias_mask_f
+    out = grid.gather(grid.to_spectral(force))
     project_coeffs(out, grid)
     if forcing_coeffs is not None:
         out += forcing_coeffs
     return out, math.sqrt(float(s2.max()))
+
+
+def _rhs_full(
+    coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
+    forcing_coeffs: np.ndarray | None, convective: bool = True,
+) -> tuple[np.ndarray, float]:
+    """:func:`_rhs_kernel` on half-spectrum arguments, with a half-spectrum result."""
+    if forcing_coeffs is not None:
+        forcing_coeffs = grid.gather(forcing_coeffs)
+    out, speed = _rhs_kernel(grid.gather(coeffs), grid, alpha, beta, forcing_coeffs, convective)
+    return grid.scatter(out), speed
 
 
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
@@ -131,7 +147,7 @@ def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     The RHS kernel with alpha = 0. u . (u x omega) vanishes pointwise, so
     <N(u), u> = 0 holds to rounding.
     """
-    return SpectralVelocity(u.grid, _rhs_kernel(u.coeffs, u.grid, 0.0, 1.0, None)[0])
+    return SpectralVelocity(u.grid, _rhs_full(u.coeffs, u.grid, 0.0, 1.0, None)[0])
 
 
 def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelocity:
@@ -148,7 +164,7 @@ def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelo
     grid = u.grid
     if beta == 1.0:
         return SpectralVelocity(grid, -alpha * u.coeffs)
-    return SpectralVelocity(grid, _rhs_kernel(u.coeffs, grid, alpha, beta, None, convective=False)[0])
+    return SpectralVelocity(grid, _rhs_full(u.coeffs, grid, alpha, beta, None, convective=False)[0])
 
 
 def nonviscous_rhs(
@@ -161,7 +177,12 @@ def nonviscous_rhs(
     inverse and three forward component transforms. The viscous term is
     excluded; the integrator applies it exactly through the integrating
     factor. With ``return_speed`` the result is (rhs, max|u(x)|), from which
-    the first stage of a step takes its CFL step.
+    the first stage of a step takes its CFL step. ``coeffs`` and
+    ``forcing_coeffs`` share one layout, half-spectrum or retained block,
+    and the result comes in it.
     """
-    out, speed = _rhs_kernel(coeffs, grid, alpha, beta, forcing_coeffs)
+    if grid.is_block(coeffs):
+        out, speed = _rhs_kernel(coeffs, grid, alpha, beta, forcing_coeffs)
+    else:
+        out, speed = _rhs_full(coeffs, grid, alpha, beta, forcing_coeffs)
     return (out, speed) if return_speed else out

@@ -1,0 +1,174 @@
+"""The integrator's retained-block path against a full half-spectrum reference.
+
+The reference below is the solver written on full half-spectrum arrays:
+``irfftn`` inverse transforms, a dealias-mask multiply after the forward
+transform, and the Leray projection over every stored mode. The block path
+must reproduce it bit for bit, because it does the same arithmetic on the
+retained modes only.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.fft as sfft
+
+from dampedns import ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step
+from dampedns.operators import nonviscous_rhs
+from dampedns.timestepping import _cfl_dt
+
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def ref_project(c, grid):
+    kv = grid.kvec
+    div = kv[0] * c[0]
+    div += kv[1] * c[1]
+    div += kv[2] * c[2]
+    div *= grid.inv_ksq
+    for i in range(3):
+        c[i] -= kv[i] * div
+    c[:, 0, 0, 0] = 0.0
+    return c
+
+
+def ref_rhs(c, grid, alpha, beta, f):
+    n = grid.n
+    stack = np.empty((6, n, n, grid.nk), np.complex128)
+    stack[:3] = c
+    ik = 1j * grid.kvec
+    for i, j, k in _CYCLIC:
+        np.multiply(ik[j], c[k], out=stack[3 + i])
+        stack[3 + i] -= ik[k] * c[j]
+    phys = sfft.irfftn(stack, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    u, w = phys[:3], phys[3:]
+    s2 = u[0] * u[0]
+    s2 += u[1] * u[1]
+    s2 += u[2] * u[2]
+    force = np.empty_like(u)
+    for i, j, k in _CYCLIC:
+        np.multiply(u[j], w[k], out=force[i])
+        force[i] -= u[k] * w[j]
+    if beta == 1.0:
+        fac = alpha
+    else:
+        fac = s2 ** ((beta - 1.0) / 2.0)
+        fac *= alpha
+    force -= fac * u
+    out = sfft.rfftn(force, axes=(-3, -2, -1), norm="forward")
+    out *= grid.dealias_mask_f
+    ref_project(out, grid)
+    out += f
+    return out, math.sqrt(float(s2.max()))
+
+
+def ref_step(t, c, grid, scheme, physics):
+    al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
+    k1, speed = ref_rhs(c, grid, al, be, f)
+    dt = _cfl_dt(speed, t, grid, scheme, physics) if scheme.adaptive else scheme.dt
+    if scheme.method == "if-rk2":
+        visc = np.exp((-physics.mu * dt) * grid.ksq)
+        pred = c + dt * k1
+        pred *= visc
+        k2 = ref_rhs(pred, grid, al, be, f)[0]
+        k1 *= 0.5 * dt
+        k1 += c
+        k1 *= visc
+        k2 *= 0.5 * dt
+        k1 += k2
+        out = k1
+    else:
+        e_half = np.exp((-physics.mu * (0.5 * dt)) * grid.ksq)
+        e_full = e_half * e_half
+        k2 = ref_rhs(e_half * (c + (0.5 * dt) * k1), grid, al, be, f)[0]
+        k3 = ref_rhs(e_half * c + (0.5 * dt) * k2, grid, al, be, f)[0]
+        k4 = ref_rhs(e_full * c + dt * (e_half * k3), grid, al, be, f)[0]
+        out = e_full * (c + (dt / 6.0) * k1)
+        out += (dt / 3.0) * (e_half * (k2 + k3))
+        out += (dt / 6.0) * k4
+    ref_project(out, grid)
+    return t + dt, out
+
+
+def setup(n, beta):
+    grid = WaveGrid(n, 2 * np.pi)
+    u = make_initial_condition(grid, "random", seed=11, energy=2.0)
+    physics = Physics(mu=0.05, alpha=0.7, beta=beta,
+                      forcing=ForcingField.cylinder(grid, force=(0.0, 1.0, 0.0)))
+    return grid, u, physics
+
+
+NS = [16, 18, 32]
+BETAS = [1.0, 2.0, 3.5]
+
+
+class TestBlockGeometry:
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 2), (16, 6), (18, 6), (32, 11), (64, 22)])
+    def test_sizes(self, n, k):
+        grid = WaveGrid(n, 1.0)
+        assert (grid.kb, grid.mb) == (k, 2 * k - 1)
+        assert grid.mb ** 2 * grid.kb == np.count_nonzero(grid.dealias_mask)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_gather_scatter_round_trip(self, n):
+        grid = WaveGrid(n, 1.0)
+        rng = np.random.default_rng(n)
+        full = rng.standard_normal(grid.shape()) + 1j * rng.standard_normal(grid.shape())
+        full *= grid.dealias_mask_f
+        block = grid.gather(full)
+        assert block.shape == grid.block_shape()
+        assert np.array_equal(grid.scatter(block), full)
+        assert np.array_equal(grid.ksq_b, grid.gather(grid.ksq))
+        assert np.array_equal(grid.viscous_factor(0.1, 0.01, block=True),
+                              grid.gather(grid.viscous_factor(0.1, 0.01)))
+
+
+class TestPrunedInverse:
+    def test_alternating_fields_and_grids(self):
+        """Stale workspace padding would show up as a mismatch on a later call."""
+        grids = [WaveGrid(16, 2 * np.pi), WaveGrid(18, 1.0)]
+        rng = np.random.default_rng(3)
+        for rnd in range(3):
+            for grid in grids:
+                for comps in (6, 3):
+                    full = rng.standard_normal(grid.shape(comps)) + 1j * rng.standard_normal(grid.shape(comps))
+                    full *= grid.dealias_mask_f
+                    n = grid.n
+                    ref = sfft.irfftn(grid.scatter(grid.gather(full)), s=(n, n, n), axes=(-3, -2, -1),
+                                      norm="forward")
+                    got = grid.to_physical(grid.gather(full))
+                    assert got.shape == (comps, n, n, n)
+                    assert np.array_equal(got, ref), (rnd, n, comps)
+
+    def test_full_layout_unchanged(self):
+        grid, u, _ = setup(16, 2.0)
+        ref = sfft.irfftn(u.coeffs, s=(16,) * 3, axes=(-3, -2, -1), norm="forward")
+        assert np.array_equal(grid.to_physical(u.coeffs), ref)
+
+
+class TestAgainstFullReference:
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_nonviscous_rhs_bitwise(self, n, beta):
+        grid, u, physics = setup(n, beta)
+        ref, ref_speed = ref_rhs(u.coeffs, grid, physics.alpha, beta, physics.forcing.coeffs)
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, physics.forcing.coeffs,
+                                    return_speed=True)
+        assert np.array_equal(got, ref)
+        assert speed == ref_speed
+        blk = nonviscous_rhs(grid.gather(u.coeffs), grid, physics.alpha, beta, physics.forcing.block)
+        assert np.array_equal(grid.scatter(blk), ref)
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("method, adaptive", [("if-rk2", True), ("if-rk2", False), ("if-rk4", False)])
+    def test_trajectory_bitwise(self, n, beta, method, adaptive):
+        grid, u, physics = setup(n, beta)
+        scheme = SchemeConfig(method=method, dt=0.02, adaptive=adaptive)
+        state = SolverState(0.0, u)
+        t, c = 0.0, u.coeffs.copy()
+        for _ in range(4):
+            state = step(state, scheme, physics)
+            t, c = ref_step(t, c, grid, scheme, physics)
+            assert state.t == t
+            assert np.array_equal(state.u.coeffs, c)

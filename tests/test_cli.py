@@ -170,9 +170,10 @@ class TestSeparateCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--n", "9"), ("--dt", "0.1"), ("--deltas", "0"), ("--t", "0.02"),
+        ("--t", "0.5 --stride 0.3"),  # horizon not a whole number of strides
     ])
     def test_bad_flag_exits_2(self, capsys, flag, value):
-        code = main(["separate", flag, value])
+        code = main(["separate", flag, *value.split()])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err

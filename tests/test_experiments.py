@@ -57,6 +57,15 @@ class TestSpecValidation:
             ExperimentSpec(kind="trajectory_separation", config=base_config(),
                            deltas=(1e-2,), max_t=0.02, stride=0.25)
 
+    def test_separation_horizon_whole_strides(self):
+        with pytest.raises(ValueError, match="whole strides"):
+            ExperimentSpec(kind="trajectory_separation", config=base_config(),
+                           deltas=(1e-2,), max_t=0.5, stride=0.3)
+        ExperimentSpec(kind="trajectory_separation", config=base_config(),
+                       deltas=(1e-2,), max_t=0.3, stride=0.1)  # 2.9999999999999996 strides
+        ExperimentSpec(kind="parameter_sweep", config=base_config(),
+                       alphas=(0.2,), betas=(1.0,), max_t=0.5, stride=0.3)
+
     def test_damping_axes_in_range(self):
         with pytest.raises(ValueError, match="alpha must be > 0"):
             ExperimentSpec(kind="parameter_sweep", config=base_config(), alphas=(0.2, 0.0), betas=(1.0,))

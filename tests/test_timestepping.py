@@ -248,6 +248,16 @@ class TestIntegrate:
         out = integrate(SolverState(0.0, u), 0.123, SchemeConfig(dt=0.01, adaptive=False), ph)
         assert out.t == pytest.approx(0.123, abs=1e-12)
 
+    def test_full_steps_end_exactly_on_target(self):
+        # 150 additions of 0.05 give 7.499999999999981; the run must still end at 7.5
+        g, u, ph = shear_setup(n=8)
+        seen = []
+        out = integrate(SolverState(0.0, u), 7.5, SchemeConfig(dt=0.05, adaptive=False), ph,
+                        [Observer(50, lambda st: seen.append(st.t))])
+        assert out.step_count == 150
+        assert out.t == 7.5
+        assert seen[-1] == 7.5
+
 
 def cylinder_config(n, dt_max=None):
     cfg = load_preset("cylinder-a05-b2")
