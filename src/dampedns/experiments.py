@@ -137,7 +137,8 @@ def run_to_steady(
 
     Monitors |u(t + stride) - u(t)|_H between snapshots at a uniform time
     stride and stops at the first sustained window (as
-    :func:`detect_steady_state` finds it), or at t0 + max_t.
+    :func:`detect_steady_state` finds it), or at t0 + max_t. When the
+    stride does not divide max_t, the last stride is cut short to end there.
     """
     t0 = state.t
     times: list[float] = []
@@ -147,7 +148,9 @@ def run_to_steady(
         prev = state.u.coeffs.copy()
         prev_t = state.t
         prev_norm = math.sqrt(h_norm_sq(prev, state.u.grid))
-        state = integrate(state, t0 + k * stride, scheme, physics)
+        # only a stride that does not divide max_t overshoots it by more than rounding
+        target = t0 + max_t if k * stride - max_t > 1e-9 * stride else t0 + k * stride
+        state = integrate(state, target, scheme, physics)
         diff = state.u.coeffs - prev
         rate = math.sqrt(h_norm_sq(diff, state.u.grid)) / ((state.t - prev_t) * max(1.0, prev_norm))
         times.append(prev_t)

@@ -12,17 +12,34 @@ The time integrator works on the retained block of that layout instead:
 ``(..., M, M, K)`` in FFT order, where K modes 0..K-1 survive the 2/3 rule
 on the half axis and M = 2K - 1 modes -(K-1)..K-1 on each full axis.
 :meth:`WaveGrid.gather` and :meth:`WaveGrid.scatter` convert between the two.
+
+:meth:`WaveGrid.transform_pointwise` is the pseudo-spectral pipeline of the
+right-hand side: block coefficients -> physical values -> a pointwise map ->
+the block of the map's coefficients. It shares the c2c passes of the pruned
+block inverse with :meth:`WaveGrid.to_physical` (k1 on the M retained k2
+columns, then k2 on the K retained k3 columns), then works through the grid
+in slabs of x1-planes (:data:`SLAB_BYTES`): per slab an ``irfft`` along k3,
+the pointwise map, and an ``rfft`` along x3 of which only the K retained
+columns are kept. The forward c2c passes then run along x1 on those columns
+and along x2 on the M retained k1 rows only. Every 1D transform is one that
+``irfftn``/``rfftn`` would run on the same line, so the block equals the
+full-layout path bit for bit. Workspaces are kept per grid and allocated on
+first use.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.fft as _fft
 
-__all__ = ["GridError", "WaveGrid", "check_grid", "stokes_lambda1", "set_fft_workers", "get_fft_workers"]
+__all__ = [
+    "GridError", "WaveGrid", "check_grid", "slab_planes", "stokes_lambda1", "set_fft_workers",
+    "get_fft_workers",
+]
 
 
 class GridError(ValueError):
@@ -30,6 +47,18 @@ class GridError(ValueError):
 
 
 _FFT_WORKERS = int(os.environ.get("DAMPEDNS_FFT_WORKERS", "1"))
+
+# Physical-space budget of one slab of x1-planes: a slab holds the largest
+# number of planes whose six real components (velocity and vorticity) fit
+# in 1.5 MiB, so its pointwise work stays in a 2 MiB L2 instead of
+# streaming through memory. That is the whole grid for n <= 32, 14 planes
+# at n = 48 and 8 at n = 64. Results do not depend on it.
+SLAB_BYTES = 3 << 19
+
+
+def slab_planes(n: int) -> int:
+    """x1-planes per slab of :meth:`WaveGrid.transform_pointwise` on an n^3 grid."""
+    return max(1, min(n, SLAB_BYTES // (6 * 8 * n * n)))
 
 
 def set_fft_workers(n: int) -> None:
@@ -97,7 +126,8 @@ class WaveGrid:
         # (full-axis slice, block-axis slice) pairs: non-negative modes, then negative ones
         kb, lo = self.kb, self.n - self.kb + 1
         self._halves = ((slice(0, kb), slice(0, kb)), (slice(lo, None), slice(kb, None)))
-        self._work: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._pad = slice(kb, lo)  # full-axis modes dropped by the 2/3 rule
+        self._work: dict[tuple, np.ndarray] = {}
 
         # Parseval multiplicity of each stored k3 column (conjugates are implied
         # for 0 < k3 < Nyquist).
@@ -123,6 +153,11 @@ class WaveGrid:
     def lambda1(self) -> float:
         """Smallest |k|^2 over nonzero modes: the Poincare constant (2 pi / L)^2."""
         return (2.0 * np.pi / self.length) ** 2
+
+    @cached_property
+    def _fwd_scale(self) -> float:
+        """rfftn's norm="forward" factor as pocketfft forms it: 1/N^3 in long double, rounded."""
+        return float(1 / np.longdouble(self.n ** 3))
 
     @cached_property
     def ksq2(self) -> np.ndarray:
@@ -189,45 +224,88 @@ class WaveGrid:
     # ------------------------------------------------------------------
     # transforms
     # ------------------------------------------------------------------
+    def workspace(self, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+        """A zero-initialised per-grid array kept across calls, one per
+        (name, shape). Callers overwrite what they read; nothing re-zeroes it."""
+        key = (name, shape)
+        arr = self._work.get(key)
+        if arr is None:
+            arr = self._work[key] = np.zeros(shape, dtype)
+        return arr
+
+    def _inverse_lines(self, coeffs: np.ndarray) -> np.ndarray:
+        """The c2c passes of a block's inverse transform, in place in a
+        per-grid workspace: k1 on the M retained k2 columns, then k2 on the
+        K retained k3 columns.
+
+        Returns the (c, N, N, N//2+1) workspace, ready for ``irfft`` along
+        k3. Its columns k3 >= K are never written and stay zero; the padding
+        the two passes overwrite is re-zeroed on every call.
+        """
+        work = self.workspace("inverse", (coeffs.shape[0], self.n, self.n, self.nk))
+        cols = work[..., :self.kb]
+        for f1, b1 in self._halves:
+            for f2, b2 in self._halves:
+                cols[:, f1, f2] = coeffs[:, b1, b2]
+        for f2, _ in self._halves:
+            cols[:, self._pad, f2] = 0.0
+            _c2c_inplace(cols[:, :, f2], -3, inverse=True)
+        cols[:, :, self._pad] = 0.0
+        _c2c_inplace(cols, -2, inverse=True)
+        return work
+
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Half-spectrum or retained-block coefficients -> real collocation
         values (batched over the leading axis).
 
-        A block is transformed pruned and bitwise equal to ``irfftn`` of its
-        scattered form, which runs the same 1D transforms in the same axis
-        order: the k1 transform runs only on the M retained k2 columns and
-        the k2 transform only on the K retained k3 columns, each in place in
-        a per-grid workspace whose zero padding is restored before every use.
-        The workspace makes concurrent calls on one grid unsafe.
+        A block is transformed pruned (:meth:`_inverse_lines`, then ``irfft``
+        along k3) and bitwise equal to ``irfftn`` of its scattered form,
+        which runs the same 1D transforms in the same axis order. The
+        per-grid workspaces make concurrent calls on one grid unsafe.
         """
         if not self.is_block(coeffs):
             return _fft.irfftn(
                 coeffs, s=(self.n, self.n, self.n), axes=(-3, -2, -1),
                 norm="forward", workers=_FFT_WORKERS,
             )
-        comps = coeffs.shape[0]
-        work = self._work.get(comps)
-        if work is None:
-            # columns k3 >= K of the second workspace are never written: they stay zero
-            work = self._work[comps] = (
-                np.empty((comps, self.n, self.mb, self.kb), np.complex128),
-                np.zeros((comps, self.n, self.n, self.nk), np.complex128),
-            )
-        w1, w2 = work
-        (f_lo, b_lo), (f_hi, b_hi) = self._halves
-        pad = slice(self.kb, self.n - self.kb + 1)
-        w1[:, f_lo] = coeffs[:, b_lo]
-        w1[:, f_hi] = coeffs[:, b_hi]
-        w1[:, pad] = 0.0
-        w1 = _fft.ifft(w1, axis=-3, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        cols = w2[..., :self.kb]
-        cols[:, :, f_lo] = w1[:, :, b_lo]
-        cols[:, :, f_hi] = w1[:, :, b_hi]
-        cols[:, :, pad] = 0.0
-        res = _fft.ifft(cols, axis=-2, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        if not np.may_share_memory(res, w2):  # the transform was not done in place
-            cols[...] = res
-        return _fft.irfft(w2, n=self.n, axis=-1, norm="forward", workers=_FFT_WORKERS)
+        return _fft.irfft(self._inverse_lines(coeffs), n=self.n, axis=-1, norm="forward",
+                          workers=_FFT_WORKERS)
+
+    def transform_pointwise(
+        self, coeffs: np.ndarray, fn: Callable[[np.ndarray, np.ndarray], None],
+    ) -> np.ndarray:
+        """Block coefficients (c, M, M, K) -> the block (3, M, M, K) of a
+        pointwise map of their physical values, slab by slab.
+
+        ``fn(values, out)`` gets the real values (c, p, N, N) of p x1-planes
+        (:func:`slab_planes` of them, fewer in the last slab), may overwrite
+        them, and fills ``out`` (3, p, N, N). The result equals
+        ``gather(rfftn(fn(to_physical(coeffs)), norm="forward"))`` bit for
+        bit: the same 1D transforms in the same axis order, with the 1/N^3
+        factor applied after the x3 transform as pocketfft applies it. The
+        result is a new array; the workspaces make concurrent calls on one
+        grid unsafe.
+        """
+        n, kb = self.n, self.kb
+        lines = self._inverse_lines(coeffs)
+        planes = slab_planes(n)
+        slab = self.workspace("forward.slab", (3, planes, n, n), np.float64)
+        spec = self.workspace("forward.k3", (3, n, n, kb))
+        spec_re = spec.view(np.float64)
+        for lo in range(0, n, planes):
+            hi = min(lo + planes, n)
+            out = slab[:, :hi - lo]
+            fn(_fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=_FFT_WORKERS), out)
+            half = _fft.rfft(out, axis=-1, workers=_FFT_WORKERS)
+            np.multiply(half[..., :kb].view(np.float64), self._fwd_scale, out=spec_re[:, lo:hi])
+        _c2c_inplace(spec, -3)
+        for rows, _ in self._halves:  # only the retained k1 rows go on to the k2 pass
+            _c2c_inplace(spec[:, rows], -2)
+        out = np.empty(self.block_shape(3), np.complex128)
+        for f1, b1 in self._halves:
+            for f2, b2 in self._halves:
+                out[:, b1, b2] = spec[:, f1, f2]
+        return out
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real collocation values -> half-spectrum coefficients (batched)."""
@@ -246,6 +324,15 @@ class WaveGrid:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WaveGrid(n={self.n}, length={self.length})"
+
+
+def _c2c_inplace(x: np.ndarray, axis: int, inverse: bool = False) -> None:
+    """Unnormalised c2c transform of ``x`` along ``axis``, written back into ``x``."""
+    fn = _fft.ifft if inverse else _fft.fft
+    res = fn(x, axis=axis, norm="forward" if inverse else "backward", overwrite_x=True,
+             workers=_FFT_WORKERS)
+    if not np.may_share_memory(res, x):  # the transform was not done in place
+        x[...] = res
 
 
 def stokes_lambda1(grid: WaveGrid) -> float:

@@ -4,8 +4,9 @@ Everything here acts on the projected, dealiased spectral representation:
 the Leray projection eliminates the pressure, the viscous term is diagonal
 (handled by the time integrator), and the convective and damping terms are
 evaluated pseudo-spectrally with 2/3-rule dealiasing, all by one kernel.
-The kernel works on the retained block of the spectrum (see
-:mod:`dampedns.grid`), so dealiasing holds by construction; the public
+The kernel works on the retained block of the spectrum and leaves the
+transforms to :meth:`~dampedns.grid.WaveGrid.transform_pointwise`, which
+runs it slab by slab; dealiasing holds by construction. The public
 functions take and return the full half-spectrum layout.
 The convective term is in rotational form: -(u . grad) u and u x omega
 (omega = curl u) differ by the gradient of |u|^2/2, which the projection
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .grid import WaveGrid
+from .grid import WaveGrid, slab_planes
 from .fields import SpectralVelocity
 
 __all__ = [
@@ -89,45 +90,62 @@ def _rhs_kernel(
     """(P[u x omega - alpha |u|^(beta-1) u] + f_hat, max|u(x)|) on retained blocks.
 
     ``coeffs``, ``forcing_coeffs`` and the result are in the block layout.
-    One batched inverse transform of [u_hat, ik x u_hat] (only u_hat when
-    ``convective`` is off), the force formed pointwise, one three-component
-    forward transform whose retained block is kept. s2 = u . u feeds both
+    [u_hat, ik x u_hat] (only u_hat when ``convective`` is off) goes through
+    :meth:`WaveGrid.transform_pointwise`, which calls the pointwise force
+    below on one slab of physical values at a time. s2 = u . u feeds both
     the damping factor and the peak speed; sqrt(max s2) is bitwise the max
-    of the pointwise speeds.
+    of the pointwise speeds. Apart from the result every array is a
+    per-grid workspace.
     """
+    n = grid.n
     if convective:
-        stack = np.empty(grid.block_shape(6), np.complex128)
+        stack = grid.workspace("rhs.stack", grid.block_shape(6))
+        tmp = grid.workspace("rhs.curl", grid.block_shape(1)[1:])
         stack[:3] = coeffs
         ik = grid.ikvec_b
         for i, j, k in _CYCLIC:
             np.multiply(ik[j], coeffs[k], out=stack[3 + i])
-            stack[3 + i] -= ik[k] * coeffs[j]
-        phys = grid.to_physical(stack)
+            np.multiply(ik[k], coeffs[j], out=tmp)
+            stack[3 + i] -= tmp
     else:
-        phys = grid.to_physical(coeffs)
-    u = phys[:3]
-    s2 = u[0] * u[0]
-    s2 += u[1] * u[1]
-    s2 += u[2] * u[2]
-    if convective:
-        w = phys[3:]
-        force = np.empty_like(u)
-        for i, j, k in _CYCLIC:
-            np.multiply(u[j], w[k], out=force[i])
-            force[i] -= u[k] * w[j]
-    else:
-        force = np.zeros_like(u)
-    if beta == 1.0:
-        fac = alpha
-    else:
-        fac = s2 ** ((beta - 1.0) / 2.0)
-        fac *= alpha
-    force -= fac * u
-    out = grid.gather(grid.to_spectral(force))
+        stack = coeffs
+    scratch = grid.workspace("rhs.scratch", (4, slab_planes(n), n, n), np.float64)
+    expo = (beta - 1.0) / 2.0
+    peak = -math.inf
+
+    def force(values: np.ndarray, out: np.ndarray) -> None:
+        nonlocal peak
+        u = values[:3]
+        work = scratch[:, :values.shape[1]]
+        s2, prod = work[0], work[1:]
+        tmp = prod[0]
+        np.multiply(u[0], u[0], out=s2)
+        for c in (1, 2):
+            np.multiply(u[c], u[c], out=tmp)
+            s2 += tmp
+        peak = np.maximum(peak, s2.max())  # NaN propagates, as in a whole-grid max
+        if convective:
+            w = values[3:]
+            for i, j, k in _CYCLIC:
+                np.multiply(u[j], w[k], out=out[i])
+                np.multiply(u[k], w[j], out=tmp)
+                out[i] -= tmp
+        else:
+            out[...] = 0.0  # 0 - x below, not -x: the signed zeros of the full-layout kernel
+        if beta == 1.0:
+            fac = alpha
+        else:
+            fac = s2
+            fac **= expo  # in place; takes the sqrt fast path of s2 ** 0.5 too, so the bits match
+            fac *= alpha
+        np.multiply(fac, u, out=prod)
+        out -= prod
+
+    out = grid.transform_pointwise(stack, force)
     project_coeffs(out, grid)
     if forcing_coeffs is not None:
         out += forcing_coeffs
-    return out, math.sqrt(float(s2.max()))
+    return out, math.sqrt(float(peak))
 
 
 def _rhs_full(

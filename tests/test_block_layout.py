@@ -4,7 +4,7 @@ The reference below is the solver written on full half-spectrum arrays:
 ``irfftn`` inverse transforms, a dealias-mask multiply after the forward
 transform, and the Leray projection over every stored mode. The block path
 must reproduce it bit for bit, because it does the same arithmetic on the
-retained modes only.
+retained modes only, slab by slab, whatever the slab size.
 """
 
 import math
@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+import dampedns.grid as grid_module
 from dampedns import ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step
-from dampedns.operators import nonviscous_rhs
+from dampedns.grid import slab_planes
+from dampedns.operators import _rhs_kernel, nonviscous_rhs
 from dampedns.timestepping import _cfl_dt
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -32,23 +34,25 @@ def ref_project(c, grid):
     return c
 
 
-def ref_rhs(c, grid, alpha, beta, f):
+def ref_rhs(c, grid, alpha, beta, f, convective=True):
     n = grid.n
-    stack = np.empty((6, n, n, grid.nk), np.complex128)
+    stack = np.empty((6 if convective else 3, n, n, grid.nk), np.complex128)
     stack[:3] = c
     ik = 1j * grid.kvec
-    for i, j, k in _CYCLIC:
-        np.multiply(ik[j], c[k], out=stack[3 + i])
-        stack[3 + i] -= ik[k] * c[j]
+    if convective:
+        for i, j, k in _CYCLIC:
+            np.multiply(ik[j], c[k], out=stack[3 + i])
+            stack[3 + i] -= ik[k] * c[j]
     phys = sfft.irfftn(stack, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
     u, w = phys[:3], phys[3:]
     s2 = u[0] * u[0]
     s2 += u[1] * u[1]
     s2 += u[2] * u[2]
-    force = np.empty_like(u)
-    for i, j, k in _CYCLIC:
-        np.multiply(u[j], w[k], out=force[i])
-        force[i] -= u[k] * w[j]
+    force = np.zeros_like(u)
+    if convective:
+        for i, j, k in _CYCLIC:
+            np.multiply(u[j], w[k], out=force[i])
+            force[i] -= u[k] * w[j]
     if beta == 1.0:
         fac = alpha
     else:
@@ -58,7 +62,8 @@ def ref_rhs(c, grid, alpha, beta, f):
     out = sfft.rfftn(force, axes=(-3, -2, -1), norm="forward")
     out *= grid.dealias_mask_f
     ref_project(out, grid)
-    out += f
+    if f is not None:
+        out += f
     return out, math.sqrt(float(s2.max()))
 
 
@@ -100,6 +105,17 @@ def setup(n, beta):
 
 NS = [16, 18, 32]
 BETAS = [1.0, 2.0, 3.5]
+
+
+def set_slab(monkeypatch, n, planes):
+    """Make the RHS pipeline cut an n^3 grid into slabs of ``planes`` x1-planes."""
+    monkeypatch.setattr(grid_module, "SLAB_BYTES", planes * 6 * 8 * n * n)
+    assert slab_planes(n) == planes
+
+
+def random_block(grid, comps, rng):
+    shape = grid.block_shape(comps)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestBlockGeometry:
@@ -172,3 +188,65 @@ class TestAgainstFullReference:
             t, c = ref_step(t, c, grid, scheme, physics)
             assert state.t == t
             assert np.array_equal(state.u.coeffs, c)
+
+
+class TestSlabs:
+    def test_default_sizes(self):
+        assert [slab_planes(n) for n in (4, 16, 18, 32, 48, 64)] == [4, 16, 18, 32, 14, 8]
+
+    @pytest.mark.parametrize("n", [16, 18, 48])
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("convective", [True, False])
+    @pytest.mark.parametrize("planes", [1, 5, "whole"])
+    def test_rhs_independent_of_slab_size(self, monkeypatch, n, beta, convective, planes):
+        """At n <= 32 the default slab is the whole grid; these sizes put seams in."""
+        set_slab(monkeypatch, n, n if planes == "whole" else planes)
+        grid, u, physics = setup(n, beta)
+        f = physics.forcing.coeffs if convective else None
+        ref, ref_speed = ref_rhs(u.coeffs, grid, physics.alpha, beta, f, convective)
+        got, speed = _rhs_kernel(grid.gather(u.coeffs), grid, physics.alpha, beta,
+                                 physics.forcing.block if convective else None, convective)
+        assert np.array_equal(grid.scatter(got), ref)
+        assert speed == ref_speed
+
+
+class TestPrunedForward:
+    @pytest.mark.parametrize("n", [4, 6, 16, 18, 32, 48])
+    @pytest.mark.parametrize("planes", [1, None])
+    def test_equals_gathered_rfftn(self, monkeypatch, n, planes):
+        if planes is not None:
+            set_slab(monkeypatch, n, planes)
+        grid = WaveGrid(n, 1.0)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, n, n, n))
+        done = 0
+
+        def fill(values, out):
+            nonlocal done
+            out[...] = x[:, done:done + out.shape[1]]
+            done += out.shape[1]
+
+        got = grid.transform_pointwise(random_block(grid, 3, rng), fill)
+        assert done == n
+        assert np.array_equal(got, grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
+
+
+class TestResultsOwnTheirMemory:
+    def test_result_survives_later_calls(self):
+        """``step`` scales a stage result in place; it must not live in a workspace."""
+        grids = [WaveGrid(16, 2 * np.pi), WaveGrid(18, 1.0)]
+        rng = np.random.default_rng(5)
+        first = grids[0]
+        c = random_block(first, 3, rng)
+        res, speed = nonviscous_rhs(c, first, 0.7, 2.0, None, return_speed=True)
+        kept = res.copy()
+        for rnd in range(2):
+            for grid in grids:
+                other = random_block(grid, 3, rng)
+                nonviscous_rhs(other, grid, 0.7, 2.0, None)  # six components in
+                _rhs_kernel(other, grid, 0.7, 2.0, None, convective=False)  # three in
+                grid.to_physical(other)
+                assert np.array_equal(res, kept), (rnd, grid.n)
+        again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, None, return_speed=True)
+        assert np.array_equal(again, kept) and speed_again == speed
+        assert not np.may_share_memory(again, res)

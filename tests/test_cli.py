@@ -160,6 +160,18 @@ class TestSweepCommand:
         assert all(c["converged"] for c in cells)
         assert rows[-1]["alpha_nonincreasing"]["1.0"] is True
 
+    def test_horizon_not_a_whole_number_of_strides(self, capsys, tmp_path):
+        code, rows, _ = run_cli(
+            capsys, "sweep", "--n", "8", "--alphas", "0.2,0.5", "--betas", "1",
+            "--max-t", "0.5", "--stride", "0.3", "--out", str(tmp_path / "sweep"),
+        )
+        assert code == 0
+        cells = [r for r in rows if "t_c" in r]
+        assert len(cells) == 2
+        for cell in cells:
+            assert cell["t_c"] is None or cell["t_c"] <= 0.5
+            assert read_snapshot(cell["snapshot"])[0].t == 0.5
+
 
 class TestSeparateCommand:
     def test_regime_violation_exits_2(self, capsys):

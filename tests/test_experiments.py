@@ -129,6 +129,15 @@ class TestRunToSteady:
                             stride=0.5, steady_tol=1e-12, max_t=3.0)
         assert not run.converged and run.t_c is None
 
+    def test_last_stride_clipped_to_horizon(self):
+        g = WaveGrid(8, 2 * np.pi)
+        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingField.zero(g))
+        st = SolverState(0.0, make_initial_condition(g, "random", seed=3, energy=1.0))
+        run = run_to_steady(st, SchemeConfig(dt=0.025, adaptive=False), ph,
+                            stride=0.3, steady_tol=1e-12, max_t=0.5)
+        assert run.state.t == 0.5
+        assert list(run.times) == [0.0, 0.3]
+
 
 class TestSteadySweep:
     def test_zero_forcing_rest_state_everywhere(self):

@@ -305,20 +305,27 @@ class TestTransformCount:
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=7, energy=1.0)
         ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingField.cylinder(g, force=(0.0, 0.5, 0.0)))
-        counts = {"to_physical": 0, "to_spectral": 0}
+        counts = {"inverse": 0, "forward": 0}
 
-        def counting(name):
+        def components(arr):
+            return arr.shape[0] if arr.ndim == 4 else 1
+
+        def counting(name, inverse, forward):
             orig = getattr(WaveGrid, name)
 
-            def wrapped(self, arr):
-                counts[name] += arr.shape[0] if arr.ndim == 4 else 1
-                return orig(self, arr)
+            def wrapped(self, arr, *rest):
+                res = orig(self, arr, *rest)
+                counts["inverse"] += inverse * components(arr)
+                counts["forward"] += forward * components(res)
+                return res
             return wrapped
 
-        for name in counts:
-            monkeypatch.setattr(WaveGrid, name, counting(name))
+        # the RHS kernel transforms both ways in one call of the slab pipeline
+        for name, inverse, forward in [("transform_pointwise", 1, 1), ("to_physical", 1, 0),
+                                       ("to_spectral", 0, 1)]:
+            monkeypatch.setattr(WaveGrid, name, counting(name, inverse, forward))
         step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=adaptive), ph)
-        assert counts == {"to_physical": 12, "to_spectral": 6}
+        assert counts == {"inverse": 12, "forward": 6}
 
 
 class TestFftWorkers:
