@@ -1,16 +1,16 @@
 """Velocity and forcing fields in spectral and physical representations.
 
-A :class:`SpectralVelocity` is the solver state: three half-spectrum
-coefficient arrays of a real, zero-mean, divergence-free, dealiased
-velocity field. :class:`PhysicalVelocity` is the collocation-grid scratch
-representation used by the nonlinear and damping terms.
+A :class:`SpectralVelocity` is the solver state: the retained 2/3-rule
+block ``(3, M, M, K)`` of a real, zero-mean, divergence-free velocity
+field (see :mod:`dampedns.grid`). It is dealiased by construction, because
+the block holds no other mode; a half-spectrum array is refused, not
+masked. :class:`PhysicalVelocity` holds collocation-grid values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "h_inner",
     "divergence_max",
     "hermitian_defect",
-    "dealias_leak",
     "check_cylinder",
     "check_initial",
     "make_initial_condition",
@@ -43,15 +42,15 @@ class FieldError(ValueError):
 # ----------------------------------------------------------------------
 
 def h_norm_sq(coeffs: np.ndarray, grid: WaveGrid) -> float:
-    """Squared L2 norm |u|^2 via Parseval on half-spectrum coefficients."""
+    """Squared L2 norm |u|^2 via Parseval on block coefficients."""
     p = coeffs.real ** 2 + coeffs.imag ** 2
-    return grid.length ** 3 * float(np.einsum("az,z->", p.reshape(-1, grid.nk), grid.hermitian_weight))
+    return grid.length ** 3 * float(np.einsum("az,z->", p.reshape(-1, grid.kb), grid.hermitian_weight))
 
 
 def h_inner(a: np.ndarray, b: np.ndarray, grid: WaveGrid) -> float:
     """L2 inner product (a, b) of two real fields given as coefficients."""
     p = a.real * b.real + a.imag * b.imag
-    return grid.length ** 3 * float(np.einsum("az,z->", p.reshape(-1, grid.nk), grid.hermitian_weight))
+    return grid.length ** 3 * float(np.einsum("az,z->", p.reshape(-1, grid.kb), grid.hermitian_weight))
 
 
 # ----------------------------------------------------------------------
@@ -69,24 +68,23 @@ def divergence_max(coeffs: np.ndarray, grid: WaveGrid) -> float:
 
 
 def hermitian_defect(coeffs: np.ndarray, grid: WaveGrid) -> float:
-    """Self-conjugacy defect of the k3 = 0 and k3 = Nyquist planes.
+    """Self-conjugacy defect of the k3 = 0 plane.
 
-    Columns with 0 < k3 < Nyquist are Hermitian by the storage layout; the
-    two self-conjugate planes must satisfy c(-k1,-k2) = conj(c(k1,k2)).
+    Columns with k3 > 0 are Hermitian by the storage layout, and no Nyquist
+    plane is stored; the k3 = 0 plane must satisfy c(-k1,-k2) = conj(c(k1,k2)).
     """
     neg = grid._negated
-    worst = 0.0
-    for plane in (0, grid.nk - 1):
-        p = coeffs[..., plane]
-        refl = p[..., neg, :][..., :, neg]
-        worst = max(worst, float(np.abs(p - np.conj(refl)).max()))
-    return worst
+    p = coeffs[..., 0]
+    refl = p[..., neg, :][..., :, neg]
+    return float(np.abs(p - np.conj(refl)).max())
 
 
-def dealias_leak(coeffs: np.ndarray, grid: WaveGrid) -> float:
-    """Largest coefficient magnitude outside the dealias mask."""
-    out = coeffs * (~grid.dealias_mask)
-    return float(np.abs(out).max())
+def _check_shape(coeffs: np.ndarray, grid: WaveGrid, what: str) -> None:
+    if coeffs.shape != grid.shape():
+        raise FieldError(
+            f"{what} coefficients have shape {coeffs.shape}, expected the retained block {grid.shape()}; "
+            "pass a half-spectrum array through grid.gather first"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -99,12 +97,15 @@ class SpectralVelocity:
 
     Invariants (enforced by the constructors in this package, probed by
     the validators above): real field (Hermitian symmetry), zero mean,
-    |k . u_hat| <= 1e-12 max|u_hat|, coefficients zero outside the
-    dealias mask.
+    |k . u_hat| <= 1e-12 max|u_hat|. Dealiasing needs no check: the shape,
+    checked on construction, is the retained block.
     """
 
     grid: WaveGrid
-    coeffs: np.ndarray  # complex128, shape (3, N, N, N//2+1)
+    coeffs: np.ndarray  # complex128, shape grid.shape() = (3, M, M, K)
+
+    def __post_init__(self):
+        _check_shape(self.coeffs, self.grid, "velocity")
 
     def copy(self) -> "SpectralVelocity":
         return SpectralVelocity(self.grid, self.coeffs.copy())
@@ -126,8 +127,6 @@ class SpectralVelocity:
             raise FieldError("non-finite spectral coefficients")
         if np.abs(self.coeffs[:, 0, 0, 0]).max() != 0.0:
             raise FieldError("zero mode is not zero")
-        if dealias_leak(self.coeffs, self.grid) != 0.0:
-            raise FieldError("coefficients leak outside the dealias mask")
         scale = max(peak, 1e-300)
         if divergence_max(self.coeffs, self.grid) > div_tol * scale:
             raise FieldError("field is not divergence-free")
@@ -144,7 +143,6 @@ class PhysicalVelocity:
 
     def to_spectral(self) -> SpectralVelocity:
         c = self.grid.to_spectral(self.values)
-        c *= self.grid.dealias_mask_f
         c[:, 0, 0, 0] = 0.0
         return SpectralVelocity(self.grid, c)
 
@@ -178,7 +176,7 @@ def check_cylinder(axis: str, radius: float | None, height: float | None, smooth
 
 
 class ForcingField:
-    """Autonomous body force, cached as projected dealiased coefficients.
+    """Autonomous body force, cached as projected block coefficients.
 
     The cached spectral form is divergence-free and zero-mean: the Leray
     projection is applied once at construction, so the force can be added
@@ -188,20 +186,13 @@ class ForcingField:
     def __init__(self, grid: WaveGrid, coeffs: np.ndarray, description: str = "explicit"):
         from .operators import project_coeffs  # local import breaks the cycle
 
-        if coeffs.shape != grid.shape():
-            raise FieldError(f"forcing coefficients have shape {coeffs.shape}, expected {grid.shape()}")
+        _check_shape(coeffs, grid, "forcing")
         c = np.array(coeffs, dtype=np.complex128, order="C")
-        c *= grid.dealias_mask_f
         project_coeffs(c, grid)
         self.grid = grid
         self.coeffs = c
         self.description = description
         self.norm_sq = h_norm_sq(c, grid)
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        """The coefficients in the retained-block layout the integrator steps on."""
-        return self.grid.gather(self.coeffs)
 
     @classmethod
     def zero(cls, grid: WaveGrid) -> "ForcingField":
@@ -272,7 +263,7 @@ def _shear(grid: WaveGrid, amplitude: float) -> SpectralVelocity:
     """u(x) = (A sin(2 pi y / L), 0, 0): a single divergence-free mode."""
     c = np.zeros(grid.shape(), np.complex128)
     c[0, 0, 1, 0] = -0.5j * amplitude
-    c[0, 0, grid.n - 1, 0] = +0.5j * amplitude
+    c[0, 0, grid.mb - 1, 0] = +0.5j * amplitude
     return SpectralVelocity(grid, c)
 
 
@@ -292,7 +283,6 @@ def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> S
     amp = np.zeros_like(kmag)
     np.power(kmag / k0, slope / 2.0, out=amp, where=kmag > 0.0)
     c *= amp
-    c *= grid.dealias_mask_f
     project_coeffs(c, grid)
     if energy == 0.0:
         c[:] = 0.0

@@ -1,30 +1,33 @@
 """Periodic wavenumber grid and FFT plumbing.
 
 Velocity fields live on the torus [0, L)^3 sampled on an N^3 collocation
-grid. Spectral data is stored in the real-FFT half-spectrum layout
-``(..., N, N, N//2 + 1)`` with the ``norm="forward"`` convention, so a
-stored coefficient is the trigonometric-polynomial coefficient c_k of
-``u(x) = sum_k c_k exp(i k.x)``. Modes with negative k3 are implied by
-Hermitian symmetry; the k3 = 0 (and Nyquist) planes carry their own
-conjugate pairs and must stay self-conjugate.
+grid. Spectral data is stored in one layout, the block of modes the 2/3
+rule retains: ``(..., M, M, K)`` in FFT order, where K modes 0..K-1 survive
+on the half axis (k3 >= 0) and M = 2K - 1 modes -(K-1)..K-1 on each full
+axis, with the ``norm="forward"`` convention, so a stored coefficient is
+the trigonometric-polynomial coefficient c_k of ``u(x) = sum_k c_k exp(i k.x)``.
+Dealiasing holds by construction: no mode outside the block can be stored.
+Modes with negative k3 are implied by Hermitian symmetry; the k3 = 0 plane
+carries its own conjugate pairs and must stay self-conjugate. The block
+never reaches the Nyquist modes.
 
-The time integrator works on the retained block of that layout instead:
-``(..., M, M, K)`` in FFT order, where K modes 0..K-1 survive the 2/3 rule
-on the half axis and M = 2K - 1 modes -(K-1)..K-1 on each full axis.
-:meth:`WaveGrid.gather` and :meth:`WaveGrid.scatter` convert between the two.
+The real-FFT half-spectrum ``(..., N, N, N//2 + 1)`` exists only inside the
+transforms. :meth:`WaveGrid.gather` and :meth:`WaveGrid.scatter` convert
+between the two layouts: :meth:`WaveGrid.to_spectral` gathers the block of
+an ``rfftn``.
 
 :meth:`WaveGrid.transform_pointwise` is the pseudo-spectral pipeline of the
 right-hand side: block coefficients -> physical values -> a pointwise map ->
 the block of the map's coefficients. It shares the c2c passes of the pruned
-block inverse with :meth:`WaveGrid.to_physical` (k1 on the M retained k2
+inverse with :meth:`WaveGrid.to_physical` (k1 on the M retained k2
 columns, then k2 on the K retained k3 columns), then works through the grid
 in slabs of x1-planes (:data:`SLAB_BYTES`): per slab an ``irfft`` along k3,
 the pointwise map, and an ``rfft`` along x3 of which only the K retained
 columns are kept. The forward c2c passes then run along x1 on those columns
 and along x2 on the M retained k1 rows only. Every 1D transform is one that
 ``irfftn``/``rfftn`` would run on the same line, so the block equals the
-full-layout path bit for bit. Workspaces are kept per grid and allocated on
-first use.
+half-spectrum path bit for bit. Workspaces are kept per grid and allocated
+on first use.
 """
 
 from __future__ import annotations
@@ -82,12 +85,12 @@ def check_grid(n: int, length: float) -> None:
 
 
 class WaveGrid:
-    """Wavenumbers, dealias mask and transforms for one N^3 periodic box.
+    """Wavenumbers of the retained block and transforms for one N^3 periodic box.
 
     Parameters
     ----------
     n : int
-        Collocation points (and Fourier modes) per axis. Even, >= 4.
+        Collocation points per axis. Even, >= 4.
     length : float
         Torus period L per axis.
     """
@@ -96,11 +99,15 @@ class WaveGrid:
         check_grid(n, length)
         self.n = int(n)
         self.length = float(length)
-        self.nk = self.n // 2 + 1  # stored modes along the last axis
+        self.nk = self.n // 2 + 1  # half-spectrum modes along the last axis, inside the transforms
 
-        # Signed integer modes per axis, FFT ordering: 0, 1, ..., N/2-1, -N/2, ..., -1.
-        self.modes = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        self.modes_half = np.arange(self.nk, dtype=np.int64)
+        # 2/3 rule: keep |m_i| < N/3 on every axis.
+        self.kb = int(np.count_nonzero(np.arange(self.nk) < self.n / 3.0))  # K: retained half-axis modes
+        self.mb = 2 * self.kb - 1  # M: retained modes per full axis
+        self.n_retained = self.mb ** 3
+        # Signed retained modes, FFT ordering: 0, 1, ..., K-1, -(K-1), ..., -1 on a full axis.
+        self.modes_half = np.arange(self.kb, dtype=np.int64)
+        self.modes = np.concatenate([self.modes_half, -self.modes_half[:0:-1]])
 
         k0 = 2.0 * np.pi / self.length
         k1 = k0 * self.modes
@@ -114,15 +121,6 @@ class WaveGrid:
         np.divide(1.0, self.ksq, out=inv, where=self.ksq > 0.0)
         self.inv_ksq = inv
 
-        # 2/3-rule mask: keep |m_i| < N/3 on every axis.
-        cutoff = self.n / 3.0
-        keep = np.abs(self.modes) < cutoff
-        keep_half = np.abs(self.modes_half) < cutoff
-        self.dealias_mask = keep[:, None, None] & keep[None, :, None] & keep_half[None, None, :]
-        self.dealias_mask_f = self.dealias_mask.astype(np.float64)
-        self.n_retained = int(np.count_nonzero(keep)) ** 3
-        self.kb = int(np.count_nonzero(keep_half))  # K: retained half-axis modes
-        self.mb = 2 * self.kb - 1  # M: retained modes per full axis
         # (full-axis slice, block-axis slice) pairs: non-negative modes, then negative ones
         kb, lo = self.kb, self.n - self.kb + 1
         self._halves = ((slice(0, kb), slice(0, kb)), (slice(lo, None), slice(kb, None)))
@@ -130,16 +128,15 @@ class WaveGrid:
         self._work: dict[tuple, np.ndarray] = {}
 
         # Parseval multiplicity of each stored k3 column (conjugates are implied
-        # for 0 < k3 < Nyquist).
-        w = np.full(self.nk, 2.0)
+        # for k3 > 0; the block stops short of the Nyquist column).
+        w = np.full(self.kb, 2.0)
         w[0] = 1.0
-        w[-1] = 1.0
         self.hermitian_weight = w
 
-        # Index map i -> index of -m on a full axis, for plane-symmetry checks.
-        self._negated = (-np.arange(self.n)) % self.n
+        # Index map i -> index of -m on a block axis, for the k3 = 0 symmetry check.
+        self._negated = (-np.arange(self.mb)) % self.mb
 
-        self._visc_cache: dict[tuple[float, float, bool], np.ndarray] = {}
+        self._visc_cache: dict[tuple[float, float], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # geometry
@@ -163,32 +160,13 @@ class WaveGrid:
     def ksq2(self) -> np.ndarray:
         return self.ksq ** 2
 
+    @cached_property
+    def ikvec(self) -> np.ndarray:
+        return 1j * self.kvec
+
     def shape(self, components: int = 3) -> tuple[int, ...]:
-        return (components, self.n, self.n, self.nk)
-
-    def block_shape(self, components: int = 3) -> tuple[int, ...]:
+        """Shape of ``components`` coefficient arrays: the retained block (c, M, M, K)."""
         return (components, self.mb, self.mb, self.kb)
-
-    def is_block(self, arr: np.ndarray) -> bool:
-        """True for the retained-block layout (K < N//2 + 1 tells it apart)."""
-        return arr.shape[-1] == self.kb
-
-    # block copies of the wavenumber arrays, for the integrator
-    @cached_property
-    def kvec_b(self) -> np.ndarray:
-        return self.gather(self.kvec)
-
-    @cached_property
-    def ksq_b(self) -> np.ndarray:
-        return self.gather(self.ksq)
-
-    @cached_property
-    def inv_ksq_b(self) -> np.ndarray:
-        return self.gather(self.inv_ksq)
-
-    @cached_property
-    def ikvec_b(self) -> np.ndarray:
-        return 1j * self.kvec_b
 
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Half-spectrum array (..., N, N, N//2+1) -> its retained block (..., M, M, K)."""
@@ -206,16 +184,12 @@ class WaveGrid:
                 out[..., f1, f2, :self.kb] = block[..., b1, b2, :]
         return out
 
-    def compatible(self, other: "WaveGrid") -> bool:
-        return self.n == other.n and self.length == other.length
-
-    def viscous_factor(self, mu: float, dt: float, block: bool = False) -> np.ndarray:
-        """exp(-mu |k|^2 dt) per stored mode (per retained mode with ``block``),
-        cached for fixed-step runs."""
-        key = (mu, dt, block)
+    def viscous_factor(self, mu: float, dt: float) -> np.ndarray:
+        """exp(-mu |k|^2 dt) per retained mode, cached for fixed-step runs."""
+        key = (mu, dt)
         factor = self._visc_cache.get(key)
         if factor is None:
-            factor = np.exp((-mu * dt) * (self.ksq_b if block else self.ksq))
+            factor = np.exp((-mu * dt) * self.ksq)
             if len(self._visc_cache) >= 8:
                 self._visc_cache.pop(next(iter(self._visc_cache)))
             self._visc_cache[key] = factor
@@ -255,19 +229,13 @@ class WaveGrid:
         return work
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Half-spectrum or retained-block coefficients -> real collocation
-        values (batched over the leading axis).
+        """Block coefficients (c, M, M, K) -> real collocation values (c, N, N, N).
 
-        A block is transformed pruned (:meth:`_inverse_lines`, then ``irfft``
-        along k3) and bitwise equal to ``irfftn`` of its scattered form,
+        The transform is pruned (:meth:`_inverse_lines`, then ``irfft``
+        along k3) and bitwise equal to ``irfftn`` of the scattered block,
         which runs the same 1D transforms in the same axis order. The
         per-grid workspaces make concurrent calls on one grid unsafe.
         """
-        if not self.is_block(coeffs):
-            return _fft.irfftn(
-                coeffs, s=(self.n, self.n, self.n), axes=(-3, -2, -1),
-                norm="forward", workers=_FFT_WORKERS,
-            )
         return _fft.irfft(self._inverse_lines(coeffs), n=self.n, axis=-1, norm="forward",
                           workers=_FFT_WORKERS)
 
@@ -301,15 +269,15 @@ class WaveGrid:
         _c2c_inplace(spec, -3)
         for rows, _ in self._halves:  # only the retained k1 rows go on to the k2 pass
             _c2c_inplace(spec[:, rows], -2)
-        out = np.empty(self.block_shape(3), np.complex128)
+        out = np.empty(self.shape(3), np.complex128)
         for f1, b1 in self._halves:
             for f2, b2 in self._halves:
                 out[:, b1, b2] = spec[:, f1, f2]
         return out
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Real collocation values -> half-spectrum coefficients (batched)."""
-        return _fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS)
+        """Real collocation values -> their retained block (batched over leading axes)."""
+        return self.gather(_fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS))
 
     # ------------------------------------------------------------------
     # coordinates

@@ -1,13 +1,13 @@
 """Spatial operators of the damped Navier-Stokes system.
 
-Everything here acts on the projected, dealiased spectral representation:
-the Leray projection eliminates the pressure, the viscous term is diagonal
-(handled by the time integrator), and the convective and damping terms are
-evaluated pseudo-spectrally with 2/3-rule dealiasing, all by one kernel.
-The kernel works on the retained block of the spectrum and leaves the
+Everything here acts on the projected spectral representation, the
+retained 2/3-rule block ``(c, M, M, K)`` of :mod:`dampedns.grid`: the Leray
+projection eliminates the pressure, the viscous term is diagonal (handled
+by the time integrator), and the convective and damping terms are
+evaluated pseudo-spectrally, all by one kernel. The kernel leaves the
 transforms to :meth:`~dampedns.grid.WaveGrid.transform_pointwise`, which
-runs it slab by slab; dealiasing holds by construction. The public
-functions take and return the full half-spectrum layout.
+runs it slab by slab and keeps only the block of the result, so
+dealiasing holds by construction.
 The convective term is in rotational form: -(u . grad) u and u x omega
 (omega = curl u) differ by the gradient of |u|^2/2, which the projection
 removes, and u . (u x omega) = 0 at every grid point, so energy
@@ -47,16 +47,14 @@ def project_coeffs(coeffs: np.ndarray, grid: WaveGrid) -> np.ndarray:
     """In-place Leray projection: u_hat -= k (k . u_hat) / |k|^2, zero mean.
 
     Acts mode-by-mode with the real symmetric matrix I - k k^T/|k|^2, so it
-    is idempotent and preserves Hermitian symmetry and the dealias support.
-    The k = 0 mode is zeroed outright (zero-mean constraint). Takes either
-    the half-spectrum or the retained-block layout.
+    is idempotent and preserves Hermitian symmetry. The k = 0 mode is
+    zeroed outright (zero-mean constraint).
     """
-    block = grid.is_block(coeffs)
-    kv = grid.kvec_b if block else grid.kvec
+    kv = grid.kvec
     div = kv[0] * coeffs[0]
     div += kv[1] * coeffs[1]
     div += kv[2] * coeffs[2]
-    div *= grid.inv_ksq_b if block else grid.inv_ksq
+    div *= grid.inv_ksq
     coeffs[0] -= kv[0] * div
     coeffs[1] -= kv[1] * div
     coeffs[2] -= kv[2] * div
@@ -68,15 +66,12 @@ def leray_project(v_hat: np.ndarray, grid: WaveGrid) -> SpectralVelocity:
     """Project raw Hermitian-symmetric coefficients onto divergence-free fields.
 
     Returns a field satisfying every SpectralVelocity invariant: the gradient
-    part of each mode is removed, the zero mode is dropped and the dealias
-    mask is applied. Idempotent up to rounding.
+    part of each mode is removed and the zero mode is dropped. The input is
+    a block (c, M, M, K) and is not modified. Idempotent up to rounding.
     """
-    v_hat = np.asarray(v_hat, dtype=np.complex128)
-    if v_hat.shape != grid.shape():
-        raise ValueError(f"expected coefficients of shape {grid.shape()}, got {v_hat.shape}")
-    out = v_hat * grid.dealias_mask_f
-    project_coeffs(out, grid)
-    return SpectralVelocity(grid, out)
+    u = SpectralVelocity(grid, np.array(v_hat, dtype=np.complex128))
+    project_coeffs(u.coeffs, grid)
+    return u
 
 
 # (i, j, k) cyclic: (a x b)_i = a_j b_k - a_k b_j
@@ -89,7 +84,6 @@ def _rhs_kernel(
 ) -> tuple[np.ndarray, float]:
     """(P[u x omega - alpha |u|^(beta-1) u] + f_hat, max|u(x)|) on retained blocks.
 
-    ``coeffs``, ``forcing_coeffs`` and the result are in the block layout.
     [u_hat, ik x u_hat] (only u_hat when ``convective`` is off) goes through
     :meth:`WaveGrid.transform_pointwise`, which calls the pointwise force
     below on one slab of physical values at a time. s2 = u . u feeds both
@@ -99,10 +93,10 @@ def _rhs_kernel(
     """
     n = grid.n
     if convective:
-        stack = grid.workspace("rhs.stack", grid.block_shape(6))
-        tmp = grid.workspace("rhs.curl", grid.block_shape(1)[1:])
+        stack = grid.workspace("rhs.stack", grid.shape(6))
+        tmp = grid.workspace("rhs.curl", grid.shape(1)[1:])
         stack[:3] = coeffs
-        ik = grid.ikvec_b
+        ik = grid.ikvec
         for i, j, k in _CYCLIC:
             np.multiply(ik[j], coeffs[k], out=stack[3 + i])
             np.multiply(ik[k], coeffs[j], out=tmp)
@@ -131,7 +125,7 @@ def _rhs_kernel(
                 np.multiply(u[k], w[j], out=tmp)
                 out[i] -= tmp
         else:
-            out[...] = 0.0  # 0 - x below, not -x: the signed zeros of the full-layout kernel
+            out[...] = 0.0  # 0 - x below, not -x: the signed zeros of the half-spectrum reference
         if beta == 1.0:
             fac = alpha
         else:
@@ -148,24 +142,13 @@ def _rhs_kernel(
     return out, math.sqrt(float(peak))
 
 
-def _rhs_full(
-    coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
-    forcing_coeffs: np.ndarray | None, convective: bool = True,
-) -> tuple[np.ndarray, float]:
-    """:func:`_rhs_kernel` on half-spectrum arguments, with a half-spectrum result."""
-    if forcing_coeffs is not None:
-        forcing_coeffs = grid.gather(forcing_coeffs)
-    out, speed = _rhs_kernel(grid.gather(coeffs), grid, alpha, beta, forcing_coeffs, convective)
-    return grid.scatter(out), speed
-
-
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     """Convective contribution N(u) = -P[(u . grad) u] = P[u x omega], dealiased.
 
     The RHS kernel with alpha = 0. u . (u x omega) vanishes pointwise, so
     <N(u), u> = 0 holds to rounding.
     """
-    return SpectralVelocity(u.grid, _rhs_full(u.coeffs, u.grid, 0.0, 1.0, None)[0])
+    return SpectralVelocity(u.grid, _rhs_kernel(u.coeffs, u.grid, 0.0, 1.0, None)[0])
 
 
 def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelocity:
@@ -182,7 +165,7 @@ def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelo
     grid = u.grid
     if beta == 1.0:
         return SpectralVelocity(grid, -alpha * u.coeffs)
-    return SpectralVelocity(grid, _rhs_full(u.coeffs, grid, alpha, beta, None, convective=False)[0])
+    return SpectralVelocity(grid, _rhs_kernel(u.coeffs, grid, alpha, beta, None, convective=False)[0])
 
 
 def nonviscous_rhs(
@@ -195,12 +178,7 @@ def nonviscous_rhs(
     inverse and three forward component transforms. The viscous term is
     excluded; the integrator applies it exactly through the integrating
     factor. With ``return_speed`` the result is (rhs, max|u(x)|), from which
-    the first stage of a step takes its CFL step. ``coeffs`` and
-    ``forcing_coeffs`` share one layout, half-spectrum or retained block,
-    and the result comes in it.
+    the first stage of a step takes its CFL step.
     """
-    if grid.is_block(coeffs):
-        out, speed = _rhs_kernel(coeffs, grid, alpha, beta, forcing_coeffs)
-    else:
-        out, speed = _rhs_full(coeffs, grid, alpha, beta, forcing_coeffs)
+    out, speed = _rhs_kernel(coeffs, grid, alpha, beta, forcing_coeffs)
     return (out, speed) if return_speed else out

@@ -162,21 +162,20 @@ class SnapshotHeader:
 
 
 def _mode_order(grid: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Gather map for the payload: retained full modes in (m1, m2, m3)
-    lexicographic order, as flat indices into the half-spectrum plus a
-    conjugation flag for modes with m3 < 0."""
-    n, nk = grid.n, grid.nk
+    """Gather map for the payload: retained modes in (m1, m2, m3)
+    lexicographic order, as flat indices into the block plus a conjugation
+    flag for modes with m3 < 0."""
+    mb, kb = grid.mb, grid.kb
     m = grid.modes
-    keep1 = np.abs(m) < n / 3.0
-    m1, m2, m3 = np.meshgrid(m[keep1], m[keep1], m[keep1], indexing="ij")
+    m1, m2, m3 = np.meshgrid(m, m, m, indexing="ij")
     m1, m2, m3 = m1.ravel(), m2.ravel(), m3.ravel()
     order = np.lexsort((m3, m2, m1))
     m1, m2, m3 = m1[order], m2[order], m3[order]
     conj = m3 < 0
-    i1 = np.where(conj, -m1, m1) % n
-    i2 = np.where(conj, -m2, m2) % n
+    i1 = np.where(conj, -m1, m1) % mb
+    i2 = np.where(conj, -m2, m2) % mb
     i3 = np.where(conj, -m3, m3)
-    flat = (i1 * n + i2) * nk + i3
+    flat = (i1 * mb + i2) * kb + i3
     return flat, conj
 
 
@@ -252,7 +251,7 @@ def read_snapshot(path: str | Path) -> tuple[SolverState, SnapshotHeader]:
         raise StorageError(f"{path}: mode count {header.n_modes} does not match grid n={header.n}")
     payload = np.frombuffer(blob, dtype="<f8").reshape(3, header.n_modes, 2)
     vals = payload[..., 0] + 1j * payload[..., 1]
-    coeffs = np.zeros((3, grid.n * grid.n * grid.nk), np.complex128)
+    coeffs = np.zeros((3, grid.mb * grid.mb * grid.kb), np.complex128)
     stored = ~conj
     coeffs[:, flat[stored]] = vals[:, stored]
     u = SpectralVelocity(grid, coeffs.reshape(grid.shape()))

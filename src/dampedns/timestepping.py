@@ -152,15 +152,13 @@ def step(
     of the first stage (the value :func:`adapt_dt` gives), a fixed one uses
     ``scheme.dt``; ``until`` clips it so the step does not pass that time.
     The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
-    terms are advanced explicitly at the configured order. The state is
-    gathered into its retained block once, every stage works on blocks, and
-    the result is scattered back once, so dealiasing holds by construction.
-    The result is re-projected to keep the field invariants after every
-    step, and a blow-up guard rejects runaway amplitudes.
+    terms are advanced explicitly at the configured order, all on the
+    retained block. The result is re-projected to keep the field invariants
+    after every step, and a blow-up guard rejects runaway amplitudes.
     """
     grid = state.u.grid
-    coeffs = grid.gather(state.u.coeffs)
-    al, be, f = physics.alpha, physics.beta, physics.forcing.block
+    coeffs = state.u.coeffs
+    al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
     k1, speed = nonviscous_rhs(coeffs, grid, al, be, f, return_speed=True)
     if dt is None:
         dt = _cfl_dt(speed, state.t, grid, scheme, physics) if scheme.adaptive else scheme.dt
@@ -169,7 +167,7 @@ def step(
     if dt <= 0.0:
         raise SolverError(f"nonpositive step dt={dt}")
     if scheme.method == "if-rk2":
-        visc = grid.viscous_factor(physics.mu, dt, block=True)
+        visc = grid.viscous_factor(physics.mu, dt)
         pred = coeffs + dt * k1
         pred *= visc
         k2 = nonviscous_rhs(pred, grid, al, be, f)
@@ -180,7 +178,7 @@ def step(
         k1 += k2
         out = k1
     else:  # if-rk4: classical RK4 on the integrating-factor transformed variable
-        e_half = grid.viscous_factor(physics.mu, 0.5 * dt, block=True)
+        e_half = grid.viscous_factor(physics.mu, 0.5 * dt)
         e_full = e_half * e_half
         k2 = nonviscous_rhs(e_half * (coeffs + (0.5 * dt) * k1), grid, al, be, f)
         k3 = nonviscous_rhs(e_half * coeffs + (0.5 * dt) * k2, grid, al, be, f)
@@ -193,7 +191,7 @@ def step(
     peak = float(np.abs(out).max())
     if not np.isfinite(peak) or peak > BLOWUP_GUARD:
         raise BlowUpError(t_new, peak)
-    return SolverState(t_new, SpectralVelocity(grid, grid.scatter(out)), state.step_count + 1, dt)
+    return SolverState(t_new, SpectralVelocity(grid, out), state.step_count + 1, dt)
 
 
 @dataclass

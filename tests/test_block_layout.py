@@ -1,10 +1,11 @@
-"""The integrator's retained-block path against a full half-spectrum reference.
+"""The retained-block solver against a full half-spectrum reference.
 
 The reference below is the solver written on full half-spectrum arrays:
 ``irfftn`` inverse transforms, a dealias-mask multiply after the forward
-transform, and the Leray projection over every stored mode. The block path
-must reproduce it bit for bit, because it does the same arithmetic on the
-retained modes only, slab by slab, whatever the slab size.
+transform, and the Leray projection over every stored mode. Its wavenumbers
+and mask are built here (:class:`Full`), from the grid's size alone. The
+block solver must reproduce it bit for bit, because it does the same
+arithmetic on the retained modes only, slab by slab, whatever the slab size.
 """
 
 import math
@@ -22,12 +23,36 @@ from dampedns.timestepping import _cfl_dt
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+class Full:
+    """Half-spectrum wavenumbers and 2/3-rule mask of a grid, shape (N, N, N//2+1)."""
+
+    def __init__(self, grid):
+        n = grid.n
+        self.nk = n // 2 + 1
+        modes = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        half = np.arange(self.nk, dtype=np.int64)
+        k0 = 2.0 * np.pi / grid.length
+        kx, ky, kz = (k0 * modes)[:, None, None], (k0 * modes)[None, :, None], (k0 * half)[None, None, :]
+        self.kvec = np.stack(np.broadcast_arrays(kx, ky, kz)).astype(np.float64)
+        self.ksq = self.kvec[0] ** 2 + self.kvec[1] ** 2 + self.kvec[2] ** 2
+        self.inv_ksq = np.zeros_like(self.ksq)
+        np.divide(1.0, self.ksq, out=self.inv_ksq, where=self.ksq > 0.0)
+        keep, keep_half = np.abs(modes) < n / 3.0, half < n / 3.0
+        self.mask = keep[:, None, None] & keep[None, :, None] & keep_half[None, None, :]
+        self.mask_f = self.mask.astype(np.float64)
+        self.n = n
+
+    def shape(self, comps=3):
+        return (comps, self.n, self.n, self.nk)
+
+
 def ref_project(c, grid):
-    kv = grid.kvec
+    full = Full(grid)
+    kv = full.kvec
     div = kv[0] * c[0]
     div += kv[1] * c[1]
     div += kv[2] * c[2]
-    div *= grid.inv_ksq
+    div *= full.inv_ksq
     for i in range(3):
         c[i] -= kv[i] * div
     c[:, 0, 0, 0] = 0.0
@@ -35,10 +60,10 @@ def ref_project(c, grid):
 
 
 def ref_rhs(c, grid, alpha, beta, f, convective=True):
-    n = grid.n
-    stack = np.empty((6 if convective else 3, n, n, grid.nk), np.complex128)
+    n, full = grid.n, Full(grid)
+    stack = np.empty(full.shape(6 if convective else 3), np.complex128)
     stack[:3] = c
-    ik = 1j * grid.kvec
+    ik = 1j * full.kvec
     if convective:
         for i, j, k in _CYCLIC:
             np.multiply(ik[j], c[k], out=stack[3 + i])
@@ -60,7 +85,7 @@ def ref_rhs(c, grid, alpha, beta, f, convective=True):
         fac *= alpha
     force -= fac * u
     out = sfft.rfftn(force, axes=(-3, -2, -1), norm="forward")
-    out *= grid.dealias_mask_f
+    out *= full.mask_f
     ref_project(out, grid)
     if f is not None:
         out += f
@@ -68,11 +93,12 @@ def ref_rhs(c, grid, alpha, beta, f, convective=True):
 
 
 def ref_step(t, c, grid, scheme, physics):
-    al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
+    al, be, f = physics.alpha, physics.beta, grid.scatter(physics.forcing.coeffs)
+    ksq = Full(grid).ksq
     k1, speed = ref_rhs(c, grid, al, be, f)
     dt = _cfl_dt(speed, t, grid, scheme, physics) if scheme.adaptive else scheme.dt
     if scheme.method == "if-rk2":
-        visc = np.exp((-physics.mu * dt) * grid.ksq)
+        visc = np.exp((-physics.mu * dt) * ksq)
         pred = c + dt * k1
         pred *= visc
         k2 = ref_rhs(pred, grid, al, be, f)[0]
@@ -83,7 +109,7 @@ def ref_step(t, c, grid, scheme, physics):
         k1 += k2
         out = k1
     else:
-        e_half = np.exp((-physics.mu * (0.5 * dt)) * grid.ksq)
+        e_half = np.exp((-physics.mu * (0.5 * dt)) * ksq)
         e_full = e_half * e_half
         k2 = ref_rhs(e_half * (c + (0.5 * dt) * k1), grid, al, be, f)[0]
         k3 = ref_rhs(e_half * c + (0.5 * dt) * k2, grid, al, be, f)[0]
@@ -114,7 +140,7 @@ def set_slab(monkeypatch, n, planes):
 
 
 def random_block(grid, comps, rng):
-    shape = grid.block_shape(comps)
+    shape = grid.shape(comps)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -123,20 +149,22 @@ class TestBlockGeometry:
     def test_sizes(self, n, k):
         grid = WaveGrid(n, 1.0)
         assert (grid.kb, grid.mb) == (k, 2 * k - 1)
-        assert grid.mb ** 2 * grid.kb == np.count_nonzero(grid.dealias_mask)
+        assert grid.mb ** 2 * grid.kb == np.count_nonzero(Full(grid).mask)
 
     @pytest.mark.parametrize("n", NS)
     def test_gather_scatter_round_trip(self, n):
-        grid = WaveGrid(n, 1.0)
+        grid, ref = WaveGrid(n, 1.0), Full(WaveGrid(n, 1.0))
         rng = np.random.default_rng(n)
-        full = rng.standard_normal(grid.shape()) + 1j * rng.standard_normal(grid.shape())
-        full *= grid.dealias_mask_f
+        full = rng.standard_normal(ref.shape()) + 1j * rng.standard_normal(ref.shape())
+        full *= ref.mask_f
         block = grid.gather(full)
-        assert block.shape == grid.block_shape()
+        assert block.shape == grid.shape()
         assert np.array_equal(grid.scatter(block), full)
-        assert np.array_equal(grid.ksq_b, grid.gather(grid.ksq))
-        assert np.array_equal(grid.viscous_factor(0.1, 0.01, block=True),
-                              grid.gather(grid.viscous_factor(0.1, 0.01)))
+        assert np.array_equal(grid.ksq, grid.gather(ref.ksq))
+        assert np.array_equal(grid.kvec, grid.gather(ref.kvec))
+        assert np.array_equal(grid.inv_ksq, grid.gather(ref.inv_ksq))
+        assert np.array_equal(grid.viscous_factor(0.1, 0.01),
+                              grid.gather(np.exp((-0.1 * 0.01) * ref.ksq)))
 
 
 class TestPrunedInverse:
@@ -147,8 +175,9 @@ class TestPrunedInverse:
         for rnd in range(3):
             for grid in grids:
                 for comps in (6, 3):
-                    full = rng.standard_normal(grid.shape(comps)) + 1j * rng.standard_normal(grid.shape(comps))
-                    full *= grid.dealias_mask_f
+                    ref_grid = Full(grid)
+                    full = rng.standard_normal(ref_grid.shape(comps)) + 1j * rng.standard_normal(ref_grid.shape(comps))
+                    full *= ref_grid.mask_f
                     n = grid.n
                     ref = sfft.irfftn(grid.scatter(grid.gather(full)), s=(n, n, n), axes=(-3, -2, -1),
                                       norm="forward")
@@ -156,10 +185,15 @@ class TestPrunedInverse:
                     assert got.shape == (comps, n, n, n)
                     assert np.array_equal(got, ref), (rnd, n, comps)
 
-    def test_full_layout_unchanged(self):
+    def test_state_equals_irfftn_of_scatter(self):
         grid, u, _ = setup(16, 2.0)
-        ref = sfft.irfftn(u.coeffs, s=(16,) * 3, axes=(-3, -2, -1), norm="forward")
+        ref = sfft.irfftn(grid.scatter(u.coeffs), s=(16,) * 3, axes=(-3, -2, -1), norm="forward")
         assert np.array_equal(grid.to_physical(u.coeffs), ref)
+
+    def test_to_spectral_is_gathered_rfftn(self):
+        grid = WaveGrid(18, 1.0)
+        x = np.random.default_rng(7).standard_normal((3, 18, 18, 18))
+        assert np.array_equal(grid.to_spectral(x), grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
 
 
 class TestAgainstFullReference:
@@ -167,13 +201,12 @@ class TestAgainstFullReference:
     @pytest.mark.parametrize("beta", BETAS)
     def test_nonviscous_rhs_bitwise(self, n, beta):
         grid, u, physics = setup(n, beta)
-        ref, ref_speed = ref_rhs(u.coeffs, grid, physics.alpha, beta, physics.forcing.coeffs)
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
+                                 grid.scatter(physics.forcing.coeffs))
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, physics.forcing.coeffs,
                                     return_speed=True)
-        assert np.array_equal(got, ref)
+        assert np.array_equal(grid.scatter(got), ref)
         assert speed == ref_speed
-        blk = nonviscous_rhs(grid.gather(u.coeffs), grid, physics.alpha, beta, physics.forcing.block)
-        assert np.array_equal(grid.scatter(blk), ref)
 
     @pytest.mark.parametrize("n", NS)
     @pytest.mark.parametrize("beta", BETAS)
@@ -182,12 +215,12 @@ class TestAgainstFullReference:
         grid, u, physics = setup(n, beta)
         scheme = SchemeConfig(method=method, dt=0.02, adaptive=adaptive)
         state = SolverState(0.0, u)
-        t, c = 0.0, u.coeffs.copy()
+        t, c = 0.0, grid.scatter(u.coeffs)
         for _ in range(4):
             state = step(state, scheme, physics)
             t, c = ref_step(t, c, grid, scheme, physics)
             assert state.t == t
-            assert np.array_equal(state.u.coeffs, c)
+            assert np.array_equal(grid.scatter(state.u.coeffs), c)
 
 
 class TestSlabs:
@@ -203,9 +236,9 @@ class TestSlabs:
         set_slab(monkeypatch, n, n if planes == "whole" else planes)
         grid, u, physics = setup(n, beta)
         f = physics.forcing.coeffs if convective else None
-        ref, ref_speed = ref_rhs(u.coeffs, grid, physics.alpha, beta, f, convective)
-        got, speed = _rhs_kernel(grid.gather(u.coeffs), grid, physics.alpha, beta,
-                                 physics.forcing.block if convective else None, convective)
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
+                                 None if f is None else grid.scatter(f), convective)
+        got, speed = _rhs_kernel(u.coeffs, grid, physics.alpha, beta, f, convective)
         assert np.array_equal(grid.scatter(got), ref)
         assert speed == ref_speed
 

@@ -6,7 +6,6 @@ import pytest
 from dampedns import WaveGrid, ForcingField, FieldError, make_initial_condition
 from dampedns.fields import (
     SpectralVelocity,
-    dealias_leak,
     divergence_max,
     h_inner,
     h_norm_sq,
@@ -95,15 +94,18 @@ class TestValidation:
         with pytest.raises(FieldError, match="zero mode"):
             u.validate()
 
-    def test_validate_catches_mask_leak(self, grid):
+    def test_rejects_half_spectrum_coeffs(self, grid):
+        # a mode outside the retained block cannot be stored: a half-spectrum
+        # array is refused on construction, with both shapes named
+        full = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), complex)
+        with pytest.raises(FieldError, match=r"\(3, 16, 16, 9\).*\(3, 11, 11, 6\).*grid\.gather"):
+            SpectralVelocity(grid, full)
         u = make_initial_condition(grid, "random", seed=3, energy=1.0)
-        u.coeffs[0, grid.n // 2, 0, 0] = 1.0  # Nyquist lives outside the mask
-        with pytest.raises(FieldError, match="dealias"):
-            u.validate()
+        assert np.array_equal(SpectralVelocity(grid, grid.gather(grid.scatter(u.coeffs))).coeffs, u.coeffs)
 
     def test_validate_catches_divergence(self, grid):
         u = make_initial_condition(grid, "random", seed=3, energy=1.0)
-        u.coeffs += 0.01 * grid.kvec * grid.dealias_mask_f  # gradient-direction leak
+        u.coeffs += 0.01 * grid.kvec  # gradient-direction leak
         u.coeffs[:, 0, 0, 0] = 0.0
         with pytest.raises(FieldError, match="divergence"):
             u.validate()
@@ -113,7 +115,6 @@ class TestValidation:
         scale = np.abs(u.coeffs).max()
         assert divergence_max(u.coeffs, grid) <= 1e-12 * scale
         assert hermitian_defect(u.coeffs, grid) <= 1e-13 * scale
-        assert dealias_leak(u.coeffs, grid) == 0.0
 
     def test_physical_mean_near_zero(self, grid):
         u = make_initial_condition(grid, "random", seed=5, energy=1.0)
@@ -132,7 +133,7 @@ class TestForcing:
         scale = np.abs(f.coeffs).max()
         assert divergence_max(f.coeffs, grid) <= 1e-12 * scale
         assert np.abs(f.coeffs[:, 0, 0, 0]).max() == 0.0
-        assert dealias_leak(f.coeffs, grid) == 0.0
+        assert f.coeffs.shape == grid.shape()
         assert f.norm_sq > 0.0
 
     def test_cylinder_construction_deterministic(self, grid):
@@ -161,11 +162,17 @@ class TestForcing:
         with pytest.raises(FieldError):
             ForcingField.from_values(grid, np.zeros((3, 4, 4, 4)))
 
+    def test_rejects_half_spectrum_coeffs(self, grid):
+        full = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), complex)
+        with pytest.raises(FieldError, match=r"\(3, 16, 16, 9\).*\(3, 11, 11, 6\).*grid\.gather"):
+            ForcingField(grid, full)
+        assert ForcingField(grid, grid.gather(full)).norm_sq == 0.0
+
     def test_smoothing_damps_high_modes(self):
         g = WaveGrid(32, 12.0)
         rough = ForcingField.cylinder(g, smooth_cells=0.0)
         smooth = ForcingField.cylinder(g, smooth_cells=2.0)
-        hi = g.ksq > 0.5 * g.ksq[g.dealias_mask].max()
+        hi = g.ksq > 0.5 * g.ksq.max()
         assert np.abs(smooth.coeffs[:, hi]).max() < np.abs(rough.coeffs[:, hi]).max()
 
 

@@ -1,4 +1,4 @@
-"""Grid construction, dealias mask, transforms."""
+"""Grid construction, the retained block, transforms."""
 
 import numpy as np
 import pytest
@@ -19,27 +19,34 @@ class TestWaveGrid:
                 WaveGrid(8, bad)
 
     def test_mode_layout(self):
+        # n = 8 keeps |m| < 8/3 on every axis: FFT order on the full axes
         g = WaveGrid(8, 2 * np.pi)
-        assert list(g.modes) == [0, 1, 2, 3, -4, -3, -2, -1]
-        assert list(g.modes_half) == [0, 1, 2, 3, 4]
-        assert g.nk == 5
+        assert list(g.modes) == [0, 1, 2, -2, -1]
+        assert list(g.modes_half) == [0, 1, 2]
+        assert g.nk == 5  # the half-spectrum the transforms see
+        assert g.shape() == (3, 5, 5, 3)
 
-    def test_dealias_mask_counts_and_symmetry(self):
+    def test_block_counts_and_symmetry(self):
         for n in (8, 16, 32):
             g = WaveGrid(n, 1.0)
-            kept = np.count_nonzero(np.abs(g.modes) < n / 3.0)
-            assert g.n_retained == kept ** 3
+            full = np.fft.fftfreq(n, d=1.0 / n)
+            kept = np.count_nonzero(np.abs(full) < n / 3.0)
+            assert g.n_retained == kept ** 3 == g.mb ** 3
             assert g.n_retained < n ** 3
+            # the block holds exactly the full-axis modes the 2/3 rule keeps
+            assert sorted(g.modes) == sorted(full[np.abs(full) < n / 3.0])
+            assert list(g.modes_half) == [m for m in range(n // 2 + 1) if m < n / 3.0]
             # within-plane symmetry under (k1, k2) -> (-k1, -k2)
-            neg = (-np.arange(n)) % n
-            for plane in range(g.nk):
-                p = g.dealias_mask[:, :, plane]
+            neg = (-np.arange(g.mb)) % g.mb
+            assert np.array_equal(g.modes[neg], -g.modes)
+            for plane in range(g.kb):
+                p = g.ksq[:, :, plane]
                 assert np.array_equal(p, p[neg][:, neg])
-            # zero mode is retained by the mask (its exclusion is dynamical)
-            assert g.dealias_mask[0, 0, 0]
-            # Nyquist is always masked
-            assert not g.dealias_mask[n // 2, 0, 0]
-            assert not g.dealias_mask[0, 0, g.nk - 1]
+            # zero mode is stored (its exclusion is dynamical)
+            assert g.modes[0] == 0 and g.modes_half[0] == 0
+            # Nyquist is never stored
+            assert n // 2 not in np.abs(g.modes)
+            assert g.modes_half[-1] < n // 2
 
     def test_lambda1_values(self):
         assert stokes_lambda1(WaveGrid(8, 2 * np.pi)) == pytest.approx(1.0, rel=1e-15)
@@ -48,7 +55,7 @@ class TestWaveGrid:
 
     def test_lambda1_is_smallest_retained_ksq(self):
         g = WaveGrid(16, 3.7)
-        nonzero = g.ksq[(g.ksq > 0) & g.dealias_mask]
+        nonzero = g.ksq[g.ksq > 0]
         assert nonzero.min() == pytest.approx(g.lambda1, rel=1e-14)
 
     def test_spacing(self):
@@ -63,7 +70,6 @@ class TestTransforms:
         u = make_initial_condition(g, "random", seed=0, energy=3.0)
         phys = g.to_physical(u.coeffs)
         back = g.to_spectral(phys)
-        back *= g.dealias_mask_f
         scale = np.abs(u.coeffs).max()
         assert np.abs(back - u.coeffs).max() <= 1e-13 * scale
         # and physical -> spectral -> physical on the same dealiased field

@@ -24,11 +24,12 @@ class TestLerayProject:
     def test_pure_gradient_mode_annihilated(self):
         g = WaveGrid(8, 2 * np.pi)
         c = np.zeros(g.shape(), complex)
-        # v_hat = k at one mode (and its conjugate pair on the k3=0 plane)
+        # v_hat = k at one mode (and its conjugate pair on the k3=0 plane);
+        # block indices: mode -m sits at M - m on a full axis
         i, j, k = 1, 2, 0
         kvec = g.kvec[:, i, j, k]
         c[:, i, j, k] = kvec
-        c[:, (-i) % 8, (-j) % 8, k] = kvec.conj()
+        c[:, (-i) % g.mb, (-j) % g.mb, k] = kvec.conj()
         p = leray_project(c, g)
         assert np.abs(p.coeffs).max() <= 1e-15 * np.abs(kvec).max()
 

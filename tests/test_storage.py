@@ -1,6 +1,7 @@
 """Diagnostics CSV and snapshot round trips, restart equivalence."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,23 @@ class TestSnapshots:
         assert back.last_dt == st.last_dt
         assert (header.n, header.length) == (g.n, g.length)
         assert (header.mu, header.alpha, header.beta) == (ph.mu, ph.alpha, ph.beta)
+
+    def test_v1_fixture_round_trips_byte_for_byte(self, tmp_path):
+        """The on-disk v1 format is pinned: a snapshot written by an earlier
+        release (n = 8, random IC seed 3, cylinder forcing, five IF-RK2 steps
+        of dt = 0.01) reads back and writes out as the same bytes."""
+        fixture = Path(__file__).parent / "data" / "v1-n8.snap"
+        state, header = read_snapshot(fixture)
+        assert (header.magic, header.version, header.n, header.length) == (b"DNSNAP01", 1, 8, 2 * np.pi)
+        assert (header.t, header.mu, header.alpha, header.beta) == (0.05, 0.1, 0.5, 3.0)
+        assert (header.step_count, header.last_dt, header.n_modes) == (5, 0.01, 125)
+        assert header.n_modes == state.u.grid.n_retained
+        state.u.validate()
+        ph = Physics(mu=header.mu, alpha=header.alpha, beta=header.beta,
+                     forcing=ForcingField.zero(state.u.grid))
+        path = tmp_path / "again.snap"
+        write_snapshot(state, ph, path)
+        assert path.read_bytes() == fixture.read_bytes()
 
     def test_header_readable_standalone(self, tmp_path):
         g, ph, sc, st, _ = small_run()
