@@ -7,7 +7,7 @@ recorded trajectories, and orchestrates steady-state and perturbation
 experiments.
 """
 
-from .grid import GridError, WaveGrid, get_fft_workers, set_fft_workers, stokes_lambda1
+from .grid import GridError, WaveGrid, get_fft_workers, set_fft_workers
 from .fields import (
     FieldError,
     ForcingField,
@@ -50,13 +50,11 @@ from .bounds import (
     monotone_envelope_max_excess,
 )
 from .experiments import (
-    ExperimentSpec,
     SeparationResult,
     SweepResult,
     detect_steady_state,
     run_convergence_speed_sweep,
     run_initial_condition_independence,
-    run_steady_state_experiment,
     run_to_steady,
     run_trajectory_separation,
 )

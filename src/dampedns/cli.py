@@ -43,7 +43,7 @@ from .config import (
     preset_text,
 )
 from .diagnostics import record
-from .experiments import ExperimentSpec, run_convergence_speed_sweep, run_trajectory_separation
+from .experiments import check_separation, check_sweep, run_convergence_speed_sweep, run_trajectory_separation
 from .storage import (DiagnosticsWriter, StorageError, check_restart_compatible, read_diagnostics,
                       read_snapshot, write_snapshot)
 from .timestepping import Observer, SolverError, integrate
@@ -154,13 +154,9 @@ def _cmd_sweep(args) -> int:
     with checked("sweep"):
         scheme = replace(base.scheme, dt_max=args.dt_max)
         cfg = replace(base, n=args.n, mu=args.mu, scheme=scheme, output_dir=args.out)
-        spec = ExperimentSpec(
-            kind="parameter_sweep", config=cfg,
-            alphas=tuple(args.alphas), betas=tuple(args.betas),
-            steady_tol=args.steady_tol, max_t=args.max_t, stride=args.stride,
-            snapshot_dir=args.out,
-        )
-    result = run_convergence_speed_sweep(spec)
+        steady = dict(stride=args.stride, steady_tol=args.steady_tol, max_t=args.max_t)
+        check_sweep(args.alphas, args.betas, **steady)
+    result = run_convergence_speed_sweep(cfg, args.alphas, args.betas, **steady, snapshot_dir=args.out)
     for row in result.table():
         _emit(row)
     _emit({
@@ -179,12 +175,9 @@ def _cmd_separate(args) -> int:
             base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme,
             initial=replace(base.initial, kind="random", seed=args.seed, energy=args.energy),
         )
-        spec = ExperimentSpec(
-            kind="trajectory_separation", config=cfg,
-            deltas=tuple(args.deltas), perturb_seed=args.perturb_seed,
-            max_t=args.t, stride=args.stride,
-        )
-    result = run_trajectory_separation(spec)
+        check_separation(args.deltas, stride=args.stride, max_t=args.t)
+    result = run_trajectory_separation(cfg, args.deltas, max_t=args.t, stride=args.stride,
+                                       perturb_seed=args.perturb_seed)
     for run in result.runs:
         _emit({"delta": run.delta, "max_ratio": run.ratio, "growth_rate": run.growth_rate})
     if args.out:

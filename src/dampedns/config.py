@@ -16,16 +16,15 @@ Keys and defaults
 [scheme]    method = if-rk2; dt = 0.01; dt_min = 1e-8; dt_max = 0.1;
             cfl = 0.4; adaptive = true
 [run]       t_end = 1.0; ic = zero; ic_amplitude = 1.0; ic_seed = 0;
-            ic_energy = 1.0; ic_slope = -4.0; ic_vector = 1,0,0;
-            diag_stride = 10; snapshot_stride = 0; output_dir = out;
-            run_id = run
+            ic_energy = 1.0; ic_slope = -4.0; diag_stride = 10;
+            snapshot_stride = 0; output_dir = out; run_id = run
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .grid import WaveGrid, check_grid
 from .fields import ForcingField, SpectralVelocity, check_cylinder, check_initial, make_initial_condition
@@ -84,16 +83,15 @@ class ForcingSpec:
 
 @dataclass(frozen=True)
 class InitialSpec:
-    kind: str = "zero"  # zero | shear | random | uniform
+    kind: str = "zero"  # zero | shear | random
     amplitude: float = 1.0
     seed: int = 0
     energy: float = 1.0
     slope: float = -4.0
-    vector: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         with checked("run"):
-            check_initial(self.kind, self.energy, self.amplitude, self.slope, self.vector)
+            check_initial(self.kind, self.energy, self.amplitude, self.slope)
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,6 @@ class RunConfig:
             raise ConfigError(f"[run] diag_stride must be >= 1, got {self.diag_stride}")
         if self.snapshot_stride < 0:
             raise ConfigError(f"[run] snapshot_stride must be >= 0, got {self.snapshot_stride}")
-
-    def with_damping(self, alpha: float, beta: float) -> "RunConfig":
-        return replace(self, alpha=alpha, beta=beta)
 
 
 # ----------------------------------------------------------------------
@@ -161,15 +156,14 @@ _SCHEMA: dict[str, dict[str, object]] = {
     },
     "run": {
         "t_end": float, "ic": str.lower, "ic_amplitude": float, "ic_seed": int,
-        "ic_energy": float, "ic_slope": float, "ic_vector": _to_vec3,
-        "diag_stride": int, "snapshot_stride": int,
+        "ic_energy": float, "ic_slope": float, "diag_stride": int, "snapshot_stride": int,
         "output_dir": str, "run_id": str,
     },
 }
 
 # dataclass field of each key whose name differs; the ic keys set InitialSpec
 _FIELD = {"l": "length", "cfl": "cfl_target", "ic": "kind", "ic_amplitude": "amplitude",
-          "ic_seed": "seed", "ic_energy": "energy", "ic_slope": "slope", "ic_vector": "vector"}
+          "ic_seed": "seed", "ic_energy": "energy", "ic_slope": "slope"}
 
 _REQUIRED = (("physics", "mu"), ("physics", "alpha"), ("physics", "beta"),
              ("grid", "n"), ("grid", "l"))
@@ -247,7 +241,7 @@ def build_initial(cfg: RunConfig, grid: WaveGrid) -> SpectralVelocity:
     ic = cfg.initial
     return make_initial_condition(
         grid, ic.kind, amplitude=ic.amplitude, seed=ic.seed,
-        energy=ic.energy, slope=ic.slope, vector=ic.vector,
+        energy=ic.energy, slope=ic.slope,
     )
 
 

@@ -9,6 +9,7 @@ dependence on the initial datum in the uniqueness regime.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,16 +22,19 @@ from .operators import check_physics
 from .timestepping import Physics, SchemeConfig, SolverState, integrate
 
 __all__ = [
-    "ExperimentSpec",
+    "DEFAULT_IC_PAIR",
     "SteadyRun",
     "SteadyCell",
     "SweepResult",
     "SeparationRun",
     "SeparationResult",
     "ICIndependenceResult",
+    "check_steady",
+    "check_sweep",
+    "check_separation",
+    "stride_count",
     "detect_steady_state",
     "run_to_steady",
-    "run_steady_state_experiment",
     "run_initial_condition_independence",
     "run_trajectory_separation",
     "run_convergence_speed_sweep",
@@ -38,49 +42,79 @@ __all__ = [
 
 RATIO_FACTOR = 2.0  # see run_trajectory_separation
 
+# two different states: the fluid at rest and a seeded random field
+DEFAULT_IC_PAIR = (InitialSpec(kind="zero"), InitialSpec(kind="random", seed=5, energy=1.0))
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment: base configuration plus sweep/perturbation axes."""
 
-    kind: str  # steady_state | parameter_sweep | trajectory_separation
-    config: RunConfig
-    alphas: tuple[float, ...] = ()
-    betas: tuple[float, ...] = ()
-    deltas: tuple[float, ...] = ()
-    perturb_seed: int = 7
-    steady_tol: float = 1e-6
-    max_t: float = 200.0
-    stride: float = 0.25
-    snapshot_dir: str | None = None  # persist final cell states when set
-    ic_pair: tuple[InitialSpec, InitialSpec] = (
-        InitialSpec(kind="zero"),
-        InitialSpec(kind="random", seed=5, energy=1.0),
-    )
+# ----------------------------------------------------------------------
+# checks and the stride loop
+# ----------------------------------------------------------------------
 
-    def __post_init__(self):
-        kinds = ("steady_state", "parameter_sweep", "trajectory_separation")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {', '.join(kinds)}")
-        if self.kind in ("steady_state", "parameter_sweep"):
-            if not self.alphas or not self.betas:
-                raise ValueError(f"{self.kind} experiments need non-empty alpha and beta lists")
-        if self.kind == "trajectory_separation" and not self.deltas:
-            raise ValueError("trajectory_separation experiments need perturbation amplitudes")
-        if not all(0.0 < d < math.inf for d in self.deltas):
-            raise ValueError(f"perturbation amplitudes must be > 0 and finite, got {self.deltas}")
-        if not 0.0 < self.steady_tol < math.inf:
-            raise ValueError(f"steady_tol must be > 0 and finite, got {self.steady_tol}")
-        if not 0.0 < self.stride <= self.max_t < math.inf:
-            raise ValueError(f"need 0 < stride <= max_t < inf, got stride={self.stride}, max_t={self.max_t}")
-        strides = self.max_t / self.stride
-        if self.kind == "trajectory_separation" and abs(strides - round(strides)) > 1e-9 * strides:
-            raise ValueError(
-                f"trajectory_separation needs a horizon of whole strides, got max_t={self.max_t}, stride={self.stride}"
-            )
-        for alpha in self.alphas:
-            for beta in self.betas:
-                check_physics(alpha, beta)
+def stride_count(max_t: float, stride: float) -> tuple[int, bool]:
+    """Number of strides that cover ``max_t``, and whether they fit it whole.
+
+    A horizon within 1e-9 (relative) of a whole number n of strides is n
+    whole strides; any other horizon takes ceil(max_t / stride) strides,
+    the last one cut short.
+    """
+    strides = max_t / stride
+    whole = round(strides)
+    if abs(strides - whole) <= 1e-9 * strides:
+        return whole, True
+    return math.ceil(strides), False
+
+
+def _check_horizon(stride: float, max_t: float) -> None:
+    if not 0.0 < stride <= max_t < math.inf:
+        raise ValueError(f"need 0 < stride <= max_t < inf, got stride={stride}, max_t={max_t}")
+
+
+def check_steady(stride: float, steady_tol: float, max_t: float) -> None:
+    """Raise ValueError unless steady_tol > 0 and 0 < stride <= max_t, all finite."""
+    if not 0.0 < steady_tol < math.inf:
+        raise ValueError(f"steady_tol must be > 0 and finite, got {steady_tol}")
+    _check_horizon(stride, max_t)
+
+
+def check_sweep(alphas, betas, *, stride: float, steady_tol: float, max_t: float) -> None:
+    """Raise ValueError unless both axes are non-empty, every (alpha, beta)
+    is valid physics and the steady-state run is valid."""
+    if not alphas or not betas:
+        raise ValueError("a sweep needs non-empty alpha and beta lists")
+    for alpha in alphas:
+        for beta in betas:
+            check_physics(alpha, beta)
+    check_steady(stride, steady_tol, max_t)
+
+
+def check_separation(deltas, *, stride: float, max_t: float) -> None:
+    """Raise ValueError unless the amplitudes are non-empty, > 0 and finite,
+    and the horizon is a whole number of strides."""
+    if not deltas:
+        raise ValueError("trajectory separation needs perturbation amplitudes")
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError(f"perturbation amplitudes must be > 0 and finite, got {tuple(deltas)}")
+    _check_horizon(stride, max_t)
+    if not stride_count(max_t, stride)[1]:
+        raise ValueError(
+            f"trajectory separation needs a horizon of whole strides, got max_t={max_t}, stride={stride}"
+        )
+
+
+def _strides(state: SolverState, scheme: SchemeConfig, physics: Physics, *,
+             stride: float, max_t: float) -> Iterator[SolverState]:
+    """Integrate ``state`` over ``max_t``, yielding the state at each stride end.
+
+    The targets are t0 + k stride, k = 1..n, for the n of :func:`stride_count`;
+    when the strides do not fit the horizon whole, the last one ends on
+    t0 + max_t instead.
+    """
+    t0 = state.t
+    n, whole = stride_count(max_t, stride)
+    for k in range(1, n + 1):
+        target = t0 + max_t if k == n and not whole else t0 + k * stride
+        state = integrate(state, target, scheme, physics)
+        yield state
 
 
 # ----------------------------------------------------------------------
@@ -140,21 +174,18 @@ def run_to_steady(
     :func:`detect_steady_state` finds it), or at t0 + max_t. When the
     stride does not divide max_t, the last stride is cut short to end there.
     """
-    t0 = state.t
+    check_steady(stride, steady_tol, max_t)
+    grid = state.u.grid
     times: list[float] = []
     rates: list[float] = []
-    n_strides = int(math.ceil(max_t / stride - 1e-9))
-    for k in range(1, n_strides + 1):
-        prev = state.u.coeffs.copy()
-        prev_t = state.t
-        prev_norm = math.sqrt(h_norm_sq(prev, state.u.grid))
-        # only a stride that does not divide max_t overshoots it by more than rounding
-        target = t0 + max_t if k * stride - max_t > 1e-9 * stride else t0 + k * stride
-        state = integrate(state, target, scheme, physics)
-        diff = state.u.coeffs - prev
-        rate = math.sqrt(h_norm_sq(diff, state.u.grid)) / ((state.t - prev_t) * max(1.0, prev_norm))
-        times.append(prev_t)
+    prev = state
+    for state in _strides(state, scheme, physics, stride=stride, max_t=max_t):
+        prev_norm = math.sqrt(h_norm_sq(prev.u.coeffs, grid))
+        diff = state.u.coeffs - prev.u.coeffs
+        rate = math.sqrt(h_norm_sq(diff, grid)) / ((state.t - prev.t) * max(1.0, prev_norm))
+        times.append(prev.t)
         rates.append(rate)
+        prev = state
         converged, t_c = detect_steady_state(times[-window:], rates[-window:], steady_tol, window)
         if converged:
             return SteadyRun(True, t_c, state, np.array(times), np.array(rates))
@@ -180,8 +211,8 @@ class SteadyCell:
 @dataclass
 class SweepResult:
     cells: list[SteadyCell]
-    alpha_nonincreasing: dict[float, bool] = field(default_factory=dict)
-    beta_nonincreasing: dict[float, bool] = field(default_factory=dict)
+    alpha_nonincreasing: dict[float, bool]  # per beta: T_c non-increasing in alpha
+    beta_nonincreasing: dict[float, bool]   # per alpha: T_c non-increasing in beta
 
     def cell(self, alpha: float, beta: float) -> SteadyCell:
         for c in self.cells:
@@ -200,38 +231,55 @@ class SweepResult:
         ]
 
 
-def _config_to_steady(cfg: RunConfig, spec: ExperimentSpec) -> tuple[Physics, SteadyRun]:
+def _config_to_steady(cfg: RunConfig, **steady) -> tuple[Physics, SteadyRun]:
     """Build the grid, physics and initial state of ``cfg`` and run it to
-    steadiness with the spec's stride, tolerance and horizon."""
+    steadiness with the given stride, steady_tol and max_t."""
     grid = build_grid(cfg)
     physics = build_physics(cfg, grid)
     state = build_state(cfg, grid)
-    return physics, run_to_steady(
-        state, cfg.scheme, physics,
-        stride=spec.stride, steady_tol=spec.steady_tol, max_t=spec.max_t,
-    )
+    return physics, run_to_steady(state, cfg.scheme, physics, **steady)
 
 
-def run_steady_state_experiment(spec: ExperimentSpec) -> SweepResult:
-    """Run every (alpha, beta) cell from the base configuration to steadiness.
+def _nonincreasing(values: list[float | None], max_t: float) -> bool:
+    seq = [max_t * 2.0 if v is None else v for v in values]
+    return all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
+
+
+def run_convergence_speed_sweep(
+    config: RunConfig,
+    alphas,
+    betas,
+    *,
+    stride: float,
+    steady_tol: float,
+    max_t: float,
+    snapshot_dir: str | None = None,
+) -> SweepResult:
+    """Run every (alpha, beta) cell of ``config`` to steadiness, then judge
+    how the convergence time T_c moves along each axis.
 
     Cells are independent; a blow-up propagates with the offending pair
     attached. Final states stay on the returned cells and are additionally
-    written to ``spec.snapshot_dir`` (one file per cell) when it is set.
+    written to ``snapshot_dir`` (one file per cell) when it is set.
+
+    Verdicts are observational: per beta, whether T_c is non-increasing as
+    alpha grows; per alpha, whether T_c is non-increasing as beta grows.
+    Non-converged cells count as slower than any converged one.
     """
+    check_sweep(alphas, betas, stride=stride, steady_tol=steady_tol, max_t=max_t)
     cells: list[SteadyCell] = []
-    for alpha in spec.alphas:
-        for beta in spec.betas:
-            cfg = spec.config.with_damping(alpha, beta)
+    for alpha in alphas:
+        for beta in betas:
+            cfg = replace(config, alpha=alpha, beta=beta)
             try:
-                physics, run = _config_to_steady(cfg, spec)
+                physics, run = _config_to_steady(cfg, stride=stride, steady_tol=steady_tol, max_t=max_t)
             except Exception as exc:
                 raise RuntimeError(f"steady-state cell alpha={alpha}, beta={beta} failed: {exc}") from exc
             snap_path = None
-            if spec.snapshot_dir is not None:
+            if snapshot_dir is not None:
                 from .storage import write_snapshot
 
-                out = Path(spec.snapshot_dir)
+                out = Path(snapshot_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 snap_path = str(out / f"{cfg.run_id}-a{alpha:g}-b{beta:g}.snap")
                 write_snapshot(run.state, physics, snap_path)
@@ -241,31 +289,13 @@ def run_steady_state_experiment(spec: ExperimentSpec) -> SweepResult:
                 final_norm_sq=run.state.u.norm_h_sq, final_umax=phys_v.max_speed(),
                 state=run.state, snapshot_path=snap_path,
             ))
-    return SweepResult(cells)
-
-
-def _nonincreasing(values: list[float | None], max_t: float) -> bool:
-    seq = [max_t * 2.0 if v is None else v for v in values]
-    return all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
-
-
-def run_convergence_speed_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Steady-state sweep plus monotonicity verdicts of the convergence time.
-
-    Verdicts are observational: per beta, whether T_c is non-increasing as
-    alpha grows; per alpha, whether T_c is non-increasing as beta grows.
-    Non-converged cells count as slower than any converged one.
-    """
-    result = run_steady_state_experiment(spec)
-    alphas = sorted(spec.alphas)
-    betas = sorted(spec.betas)
-    for beta in betas:
-        col = [result.cell(a, beta).t_c for a in alphas]
-        result.alpha_nonincreasing[beta] = _nonincreasing(col, spec.max_t)
-    for alpha in alphas:
-        row = [result.cell(alpha, b).t_c for b in betas]
-        result.beta_nonincreasing[alpha] = _nonincreasing(row, spec.max_t)
-    return result
+    t_c = {(c.alpha, c.beta): c.t_c for c in cells}
+    alphas, betas = sorted(alphas), sorted(betas)
+    return SweepResult(
+        cells,
+        {b: _nonincreasing([t_c[a, b] for a in alphas], max_t) for b in betas},
+        {a: _nonincreasing([t_c[a, b] for b in betas], max_t) for a in alphas},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -281,19 +311,30 @@ class ICIndependenceResult:
     t_c_b: float | None
 
 
-def run_initial_condition_independence(spec: ExperimentSpec) -> ICIndependenceResult:
+def run_initial_condition_independence(
+    config: RunConfig,
+    ic_pair: tuple[InitialSpec, InitialSpec] = DEFAULT_IC_PAIR,
+    *,
+    stride: float,
+    steady_tol: float,
+    max_t: float,
+) -> ICIndependenceResult:
     """Drive two initial conditions to steadiness and compare final states.
 
     Returns the H-distance between the two final states and whether it is
     within 10 * steady_tol. Non-convergence of either run is inconclusive.
     """
-    a, b = (_config_to_steady(replace(spec.config, initial=ic), spec)[1] for ic in spec.ic_pair)
+    check_steady(stride, steady_tol, max_t)
+    a, b = (
+        _config_to_steady(replace(config, initial=ic), stride=stride, steady_tol=steady_tol, max_t=max_t)[1]
+        for ic in ic_pair
+    )
     if not (a.converged and b.converged):
         return ICIndependenceResult("inconclusive", None, False, a.t_c, b.t_c)
     grid = a.state.u.grid
     distance = math.sqrt(h_norm_sq(a.state.u.coeffs - b.state.u.coeffs, grid))
     return ICIndependenceResult(
-        "converged", distance, distance <= 10.0 * spec.steady_tol, a.t_c, b.t_c,
+        "converged", distance, distance <= 10.0 * steady_tol, a.t_c, b.t_c,
     )
 
 
@@ -317,47 +358,49 @@ class SeparationResult:
     uniform_in_delta: bool
 
 
-def run_trajectory_separation(spec: ExperimentSpec) -> SeparationResult:
+def run_trajectory_separation(
+    config: RunConfig,
+    deltas,
+    *,
+    max_t: float,
+    stride: float,
+    perturb_seed: int = 7,
+) -> SeparationResult:
     """Separation d(t) = |u1(t) - u2(t)| of delta-perturbed trajectories.
 
     Requires the uniqueness regime (beta > 3, or beta = 3 with
-    4 alpha mu >= 1). The base trajectory is run once with a fixed step and
-    compared against one perturbed run per amplitude; the perturbation is a
-    fixed random divergence-free field of unit norm, so d(0) = delta. The
-    ratio test sup_t d(t)/delta across amplitudes quantifies uniform
-    continuous dependence: a spread within ``RATIO_FACTOR`` means the
-    response scales linearly with the perturbation.
+    4 alpha mu >= 1) and a horizon of whole strides. The base trajectory is
+    run once with a fixed step and compared, at t = k stride, against one
+    perturbed run per amplitude; the perturbation is a fixed random
+    divergence-free field of unit norm, so d(0) = delta. The ratio test
+    sup_t d(t)/delta across amplitudes quantifies uniform continuous
+    dependence: a spread within ``RATIO_FACTOR`` means the response scales
+    linearly with the perturbation.
     """
-    cfg = spec.config
-    if not in_uniqueness_regime(cfg.mu, cfg.alpha, cfg.beta):
+    check_separation(deltas, stride=stride, max_t=max_t)
+    if not in_uniqueness_regime(config.mu, config.alpha, config.beta):
         raise RegimeError(
             f"trajectory separation requires {REGIME_BY_CHECK['trajectory_separation']}; "
-            f"got mu={cfg.mu}, alpha={cfg.alpha}, beta={cfg.beta}"
+            f"got mu={config.mu}, alpha={config.alpha}, beta={config.beta}"
         )
     # lockstep comparison needs a shared dt sequence: force the fixed step
-    scheme = replace(cfg.scheme, adaptive=False)
-    grid = build_grid(cfg)
-    physics = build_physics(cfg, grid)
-    base0 = build_state(cfg, grid)
-    perturb = make_initial_condition(grid, "random", seed=spec.perturb_seed, energy=1.0)
-
-    n_strides = int(round(spec.max_t / spec.stride))
-    # base trajectory snapshots at the stride boundaries
-    base_snaps = [base0.u.coeffs.copy()]
-    state = base0.copy()
-    for k in range(1, n_strides + 1):
-        state = integrate(state, k * spec.stride, scheme, physics)
-        base_snaps.append(state.u.coeffs.copy())
+    scheme = replace(config.scheme, adaptive=False)
+    grid = build_grid(config)
+    physics = build_physics(config, grid)
+    base0 = build_state(config, grid)
+    perturb = make_initial_condition(grid, "random", seed=perturb_seed, energy=1.0)
+    # states are never mutated, so the base run's coefficients need no copies
+    base = [base0.u.coeffs]
+    base += [s.u.coeffs for s in _strides(base0, scheme, physics, stride=stride, max_t=max_t)]
 
     runs: list[SeparationRun] = []
-    for delta in spec.deltas:
+    for delta in deltas:
         pert = SolverState(0.0, SpectralVelocity(grid, base0.u.coeffs + delta * perturb.coeffs))
         times = [0.0]
-        dists = [math.sqrt(h_norm_sq(pert.u.coeffs - base_snaps[0], grid))]
-        for k in range(1, n_strides + 1):
-            pert = integrate(pert, k * spec.stride, scheme, physics)
+        dists = [math.sqrt(h_norm_sq(pert.u.coeffs - base[0], grid))]
+        for k, pert in enumerate(_strides(pert, scheme, physics, stride=stride, max_t=max_t), 1):
             times.append(pert.t)
-            dists.append(math.sqrt(h_norm_sq(pert.u.coeffs - base_snaps[k], grid)))
+            dists.append(math.sqrt(h_norm_sq(pert.u.coeffs - base[k], grid)))
         d = np.array(dists)
         t = np.array(times)
         positive = d > 0

@@ -146,12 +146,9 @@ class PhysicalVelocity:
         c[:, 0, 0, 0] = 0.0
         return SpectralVelocity(self.grid, c)
 
-    def speed(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude |u(x)|."""
-        return np.sqrt(self.values[0] ** 2 + self.values[1] ** 2 + self.values[2] ** 2)
-
     def max_speed(self) -> float:
-        return float(self.speed().max())
+        """Peak pointwise Euclidean magnitude max_x |u(x)|."""
+        return float(np.sqrt(self.values[0] ** 2 + self.values[1] ** 2 + self.values[2] ** 2).max())
 
     def mean_abs_max(self) -> float:
         return float(np.abs(self.values.mean(axis=(1, 2, 3))).max())
@@ -294,31 +291,14 @@ def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> S
     return SpectralVelocity(grid, c)
 
 
-def _uniform_projected(grid: WaveGrid, vector: tuple[float, float, float]) -> SpectralVelocity:
-    """Leray projection of a spatially uniform field.
-
-    On the zero-mean torus the projection annihilates constants, so this
-    is the zero field for every vector; the path exists so configurations
-    written for other domains stay expressible.
-    """
-    from .operators import project_coeffs
-
-    c = np.zeros(grid.shape(), np.complex128)
-    for j in range(3):
-        c[j, 0, 0, 0] = vector[j]
-    project_coeffs(c, grid)
-    return SpectralVelocity(grid, c)
-
-
-def check_initial(kind: str, energy: float, amplitude: float, slope: float,
-                  vector: tuple[float, float, float]) -> None:
+def check_initial(kind: str, energy: float, amplitude: float, slope: float) -> None:
     """Raise FieldError unless ``kind`` (ic) is known, energy >= 0 and every value is finite."""
-    if kind not in ("zero", "shear", "random", "uniform"):
-        raise FieldError(f"ic must be zero, shear, random or uniform, got {kind!r}")
+    if kind not in ("zero", "shear", "random"):
+        raise FieldError(f"ic must be zero, shear or random, got {kind!r}")
     if not 0.0 <= energy < math.inf:
         raise FieldError(f"ic_energy must be >= 0 and finite, got {energy}")
-    if not all(map(math.isfinite, (amplitude, slope, *vector))):
-        raise FieldError(f"ic_amplitude, ic_slope and ic_vector must be finite, got {amplitude}, {slope}, {vector}")
+    if not (math.isfinite(amplitude) and math.isfinite(slope)):
+        raise FieldError(f"ic_amplitude and ic_slope must be finite, got {amplitude}, {slope}")
 
 
 def make_initial_condition(
@@ -329,19 +309,15 @@ def make_initial_condition(
     seed: int = 0,
     energy: float = 1.0,
     slope: float = -4.0,
-    vector: tuple[float, float, float] = (1.0, 0.0, 0.0),
 ) -> SpectralVelocity:
     """Build an initial velocity satisfying all field invariants.
 
-    ``kind`` is one of ``zero``, ``shear``, ``random`` (deterministic for a
-    fixed seed, scaled so |u0|^2 = energy) or ``uniform`` (a constant vector
-    passed through the projection).
+    ``kind`` is one of ``zero``, ``shear`` or ``random`` (deterministic for
+    a fixed seed, scaled so |u0|^2 = energy).
     """
-    check_initial(kind, energy, amplitude, slope, vector)
+    check_initial(kind, energy, amplitude, slope)
     if kind == "zero":
         return _zero(grid)
     if kind == "shear":
         return _shear(grid, amplitude)
-    if kind == "random":
-        return _random_divfree(grid, seed, energy, slope)
-    return _uniform_projected(grid, vector)
+    return _random_divfree(grid, seed, energy, slope)

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.fft as _fft
 
 __all__ = [
-    "GridError", "WaveGrid", "check_grid", "slab_planes", "stokes_lambda1", "set_fft_workers",
+    "GridError", "WaveGrid", "check_grid", "slab_planes", "set_fft_workers",
     "get_fft_workers",
 ]
 
@@ -148,7 +148,8 @@ class WaveGrid:
 
     @property
     def lambda1(self) -> float:
-        """Smallest |k|^2 over nonzero modes: the Poincare constant (2 pi / L)^2."""
+        """Smallest Stokes eigenvalue on the zero-mean torus: the smallest |k|^2
+        over nonzero modes, the sharp Poincare constant (2 pi / L)^2."""
         return (2.0 * np.pi / self.length) ** 2
 
     @cached_property
@@ -301,12 +302,3 @@ def _c2c_inplace(x: np.ndarray, axis: int, inverse: bool = False) -> None:
              workers=_FFT_WORKERS)
     if not np.may_share_memory(res, x):  # the transform was not done in place
         x[...] = res
-
-
-def stokes_lambda1(grid: WaveGrid) -> float:
-    """Smallest eigenvalue of the Stokes operator on the zero-mean torus.
-
-    Equals (2 pi / L)^2, the sharp Poincare constant for zero-mean periodic
-    fields; also the smallest |k|^2 over retained nonzero modes.
-    """
-    return grid.lambda1

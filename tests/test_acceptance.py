@@ -32,7 +32,6 @@ from dampedns.bounds import check_damping_positivity, monotone_envelope_max_exce
 from dampedns.config import ConfigError, InitialSpec, load_preset, build_grid, build_physics, build_state
 from dampedns.diagnostics import energy_balance_residual
 from dampedns.experiments import (
-    ExperimentSpec,
     run_convergence_speed_sweep,
     run_initial_condition_independence,
     run_trajectory_separation,
@@ -95,12 +94,9 @@ def bound_runs():
 @pytest.fixture(scope="session")
 def steady_sweep():
     base = load_preset("cylinder-a02-b1")
-    spec = ExperimentSpec(
-        kind="parameter_sweep", config=base,
-        alphas=(0.2, 0.5), betas=(1.0, 2.0, 4.0),
-        steady_tol=1e-6, max_t=200.0, stride=0.25,
+    return base, run_convergence_speed_sweep(
+        base, (0.2, 0.5), (1.0, 2.0, 4.0), steady_tol=1e-6, max_t=200.0, stride=0.25,
     )
-    return spec, run_convergence_speed_sweep(spec)
 
 
 # ----------------------------------------------------------------------
@@ -262,11 +258,7 @@ def test_criterion_7_uniqueness_regime_continuity():
                 initial=InitialSpec(kind="random", seed=1, energy=1.0),
                 scheme=SchemeConfig(dt=0.01, adaptive=False),
             )
-            spec = ExperimentSpec(
-                kind="trajectory_separation", config=cfg,
-                deltas=(1e-2, 1e-3, 1e-4), max_t=5.0, stride=0.25,
-            )
-            res = run_trajectory_separation(spec)
+            res = run_trajectory_separation(cfg, (1e-2, 1e-3, 1e-4), max_t=5.0, stride=0.25)
             ratios = [f"{r.ratio:.4f}" for r in res.runs]
             print(f"  beta={beta}: max_t d/delta per delta = {ratios}, "
                   f"spread = {res.ratio_spread:.3f}")
@@ -279,7 +271,7 @@ def test_criterion_7_uniqueness_regime_continuity():
 def test_criterion_8_steady_state_reproduction(steady_sweep):
     """Cylinder-forced box: all cells steady, faster along the alpha axis."""
     with verdict(8, "steady-state sweep"):
-        spec, result = steady_sweep
+        base, result = steady_sweep
         for cell in result.cells:
             print(f"  alpha={cell.alpha} beta={cell.beta}: T_c={cell.t_c} "
                   f"umax={cell.final_umax:.2f}")
@@ -293,16 +285,12 @@ def test_criterion_8_steady_state_reproduction(steady_sweep):
         # beta axis is observational: report, never fail
         print(f"  observational beta-axis verdicts: {result.beta_nonincreasing}")
 
-        ic_spec = ExperimentSpec(
-            kind="steady_state", config=spec.config,
-            alphas=(0.2,), betas=(1.0,), steady_tol=1e-6, max_t=200.0, stride=0.25,
-            ic_pair=(InitialSpec(kind="zero"),
-                     InitialSpec(kind="uniform", vector=(1.0, 0.0, 0.0))),
-        )
-        res = run_initial_condition_independence(ic_spec)
+        # the default pair: the fluid at rest against a seeded random field
+        steady_tol = 1e-6
+        res = run_initial_condition_independence(base, steady_tol=steady_tol, max_t=200.0, stride=0.25)
         print(f"  IC independence: status={res.status} distance={res.distance:.2e}")
         assert res.status == "converged"
-        assert res.distance <= 10.0 * ic_spec.steady_tol
+        assert 0.0 < res.distance <= 10.0 * steady_tol  # 0.0 would mean one state run twice
 
 
 def test_criterion_9_infrastructure(tmp_path):

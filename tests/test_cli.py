@@ -98,6 +98,14 @@ class TestRunCommand:
         assert code == 2
         assert "beta must be >= 1" in captured.err
 
+    def test_uniform_ic_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "uniform.cfg"
+        cfg.write_text(QUICK_CONFIG.replace("ic = random", "ic = uniform"))
+        code = main(["run", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: [run] ic must be")
+
     def test_restart_flag(self, capsys, tmp_path):
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(QUICK_CONFIG + f"output_dir = {tmp_path}/out\n")
@@ -148,6 +156,20 @@ class TestVerifyCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("args", [
+        "--alphas 0.2,0", "--betas 0.5", "--stride 0", "--steady-tol 0",
+        "--max-t 0.1 --stride 0.25", "--dt-max 0", "--n 9",
+    ])
+    def test_bad_flag_exits_2(self, capsys, tmp_path, monkeypatch, args):
+        def integrate(*a, **k):
+            raise AssertionError("sweep stepped before refusing its flags")
+        monkeypatch.setattr("dampedns.experiments.integrate", integrate)
+        code = main(["sweep", *args.split(), "--out", str(tmp_path / "sweep")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "sweep").exists()
+
     def test_quick_sweep(self, capsys, tmp_path):
         code, rows, _ = run_cli(
             capsys, "sweep", "--n", "8", "--alphas", "0.2,0.5", "--betas", "1",

@@ -191,5 +191,5 @@ class TestPresets:
             preset_text("fancy")
 
     def test_with_damping_override(self):
-        cfg = load_preset("cylinder-a02-b1").with_damping(0.5, 4.0)
+        cfg = replace(load_preset("cylinder-a02-b1"), alpha=0.5, beta=4.0)
         assert (cfg.alpha, cfg.beta) == (0.5, 4.0)

@@ -76,12 +76,6 @@ class TestInitialConditions:
         u = make_initial_condition(grid, "random", seed=0, energy=0.0)
         assert u.norm_h_sq == 0.0
 
-    def test_uniform_projects_to_zero_on_torus(self, grid):
-        # constants are pure zero-mode; the zero-mean projection annihilates them
-        u = make_initial_condition(grid, "uniform", vector=(1.0, 0.0, 0.0))
-        assert u.norm_h_sq == 0.0
-        u.validate()
-
     def test_unknown_kind(self, grid):
         with pytest.raises(FieldError):
             make_initial_condition(grid, "vortex")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dampedns import WaveGrid, GridError, stokes_lambda1, set_fft_workers, get_fft_workers
+from dampedns import WaveGrid, GridError, set_fft_workers, get_fft_workers
 from dampedns.fields import make_initial_condition
 
 
@@ -49,9 +49,9 @@ class TestWaveGrid:
             assert g.modes_half[-1] < n // 2
 
     def test_lambda1_values(self):
-        assert stokes_lambda1(WaveGrid(8, 2 * np.pi)) == pytest.approx(1.0, rel=1e-15)
-        assert stokes_lambda1(WaveGrid(8, 1.0)) == pytest.approx(4 * np.pi ** 2, rel=1e-15)
-        assert stokes_lambda1(WaveGrid(8, 6.0)) == pytest.approx((np.pi / 3) ** 2, rel=1e-15)
+        assert WaveGrid(8, 2 * np.pi).lambda1 == pytest.approx(1.0, rel=1e-15)
+        assert WaveGrid(8, 1.0).lambda1 == pytest.approx(4 * np.pi ** 2, rel=1e-15)
+        assert WaveGrid(8, 6.0).lambda1 == pytest.approx((np.pi / 3) ** 2, rel=1e-15)
 
     def test_lambda1_is_smallest_retained_ksq(self):
         g = WaveGrid(16, 3.7)
