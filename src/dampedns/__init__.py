@@ -7,7 +7,7 @@ recorded trajectories, and orchestrates steady-state and perturbation
 experiments.
 """
 
-from .grid import GridError, WaveGrid, get_fft_workers, set_fft_workers
+from .grid import GridError, WaveGrid, get_fft_workers
 from .fields import (
     FieldError,
     ForcingField,

@@ -50,6 +50,10 @@ REGIME_BY_CHECK = {
 
 
 SLOPE_TOL = 1e-3  # per time unit, see check_norm_boundedness
+# check_absorbing_ball: the entry prediction is the time the decay bound
+# takes to bring E0 down to ENTRY_TOL, and entry may lag it by T_SLACK.
+ENTRY_TOL = 1.0
+T_SLACK = 1.0
 
 
 class RegimeError(ValueError):
@@ -190,30 +194,26 @@ def check_absorbing_ball(
     mu: float,
     lambda1: float,
     f_norm_sq: float,
-    entry_tol: float = 1.0,
     *,
     dt: float,
     order: int = 2,
-    t_slack: float = 1.0,
 ) -> BoundReport:
     """Entry into and residence in the ball |u|^2 <= 1 + |f|^2/(mu^2 lambda1^2).
 
     Reports the first record time t* inside the ball, asserts E stays below
     radius^2 + tol for all later records, and asserts t* does not exceed the
-    decay-bound prediction log(E0/entry_tol)/(mu lambda1) + t_slack. The
+    decay-bound prediction log(E0/ENTRY_TOL)/(mu lambda1) + T_SLACK. The
     entry-time margin (in time units) is appended as the last margin entry.
-    Requires a run long enough that exp(-mu lambda1 T) E0 <= entry_tol.
+    Requires a run long enough that exp(-mu lambda1 T) E0 <= ENTRY_TOL.
     """
-    if entry_tol <= 0.0 or entry_tol > 1.0:
-        raise ValueError(f"entry_tol must lie in (0, 1], got {entry_tol}")
     t = np.array([r.t for r in records])
     e = np.array([r.E for r in records])
     e0 = e[0]
     horizon = t[-1] - t[0]
-    if math.exp(-mu * lambda1 * horizon) * e0 > entry_tol:
+    if math.exp(-mu * lambda1 * horizon) * e0 > ENTRY_TOL:
         raise ValueError(
             f"run too short to guarantee entry: exp(-mu lambda1 T) E0 = "
-            f"{math.exp(-mu * lambda1 * horizon) * e0:.3e} > entry_tol = {entry_tol:g}"
+            f"{math.exp(-mu * lambda1 * horizon) * e0:.3e} > ENTRY_TOL = {ENTRY_TOL:g}"
         )
     radius_sq = 1.0 + f_norm_sq / (mu ** 2 * lambda1 ** 2)
     tol = _scheme_tolerance(dt, order, radius_sq)
@@ -226,8 +226,8 @@ def check_absorbing_ball(
         )
     i_star = int(inside[0])
     t_star = float(t[i_star] - t[0])
-    t_pred = math.log(e0 / entry_tol) / (mu * lambda1) if e0 > entry_tol else 0.0
-    margin = np.concatenate([radius_sq - e[i_star:], [t_pred + t_slack - t_star]])
+    t_pred = math.log(e0 / ENTRY_TOL) / (mu * lambda1) if e0 > ENTRY_TOL else 0.0
+    margin = np.concatenate([radius_sq - e[i_star:], [t_pred + T_SLACK - t_star]])
     checked = np.concatenate([t[i_star:], [t[i_star]]])
     return _report(
         "absorbing_ball", checked, margin, tol,

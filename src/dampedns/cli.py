@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import (
+    ENTRY_TOL,
     RegimeError,
     check_absorbing_ball,
     check_damping_positivity,
@@ -129,7 +130,7 @@ def _cmd_verify(args) -> int:
                              physics.alpha, lam1, f2, dt=dt, order=order),
     ]
     horizon = records[-1].t - records[0].t
-    if math.exp(-physics.mu * lam1 * horizon) * e0 <= 1.0:
+    if math.exp(-physics.mu * lam1 * horizon) * e0 <= ENTRY_TOL:  # check_absorbing_ball's precondition
         reports.append(check_absorbing_ball(records, physics.mu, lam1, f2, dt=dt, order=order))
     burn_in = records[0].t + 0.25 * horizon
     if (in_regularity_regime(physics.mu, physics.alpha, physics.beta)

@@ -70,10 +70,7 @@ def record(u: SpectralVelocity, t: float, physics: Physics) -> DiagnosticsRecord
     u_phys = grid.to_physical(c)
     s2 = u_phys[0] ** 2 + u_phys[1] ** 2 + u_phys[2] ** 2
     umax = math.sqrt(float(s2.max()))
-    if physics.beta == 1.0:
-        lbp = grid.dx ** 3 * float(s2.sum())
-    else:
-        lbp = grid.dx ** 3 * float((s2 ** ((physics.beta + 1.0) / 2.0)).sum())
+    lbp = grid.dx ** 3 * float((s2 ** ((physics.beta + 1.0) / 2.0)).sum())
 
     p_f = h_inner(physics.forcing.coeffs, c, grid)
     rec = DiagnosticsRecord(

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 RATIO_FACTOR = 2.0  # see run_trajectory_separation
+STEADY_WINDOW = 10  # consecutive small rates that declare a steady state
 
 # two different states: the fluid at rest and a seeded random field
 DEFAULT_IC_PAIR = (InitialSpec(kind="zero"), InitialSpec(kind="random", seed=5, energy=1.0))
@@ -125,26 +126,24 @@ def detect_steady_state(
     times: np.ndarray,
     rates: np.ndarray,
     steady_tol: float,
-    window: int = 10,
 ) -> tuple[bool, float | None]:
     """First time where the normalized difference quotient stays small.
 
     ``rates[i]`` is |u(t_i + stride) - u(t_i)| / (stride * max(1, |u(t_i)|));
-    convergence is declared at the first t_i opening ``window`` consecutive
-    rates at or below ``steady_tol``. Non-convergence is a valid outcome.
+    convergence is declared at the first t_i opening :data:`STEADY_WINDOW`
+    consecutive rates at or below ``steady_tol``. Non-convergence is a valid
+    outcome.
     """
     times = np.asarray(times, float)
     rates = np.asarray(rates, float)
     if times.shape != rates.shape:
         raise ValueError("times and rates must have matching shapes")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     ok = rates <= steady_tol
     run = 0
     for i, good in enumerate(ok):
         run = run + 1 if good else 0
-        if run >= window:
-            return True, float(times[i - window + 1])
+        if run >= STEADY_WINDOW:
+            return True, float(times[i - STEADY_WINDOW + 1])
     return False, None
 
 
@@ -165,7 +164,6 @@ def run_to_steady(
     stride: float,
     steady_tol: float,
     max_t: float,
-    window: int = 10,
 ) -> SteadyRun:
     """Integrate until the difference quotient stays below steady_tol.
 
@@ -186,7 +184,8 @@ def run_to_steady(
         times.append(prev.t)
         rates.append(rate)
         prev = state
-        converged, t_c = detect_steady_state(times[-window:], rates[-window:], steady_tol, window)
+        converged, t_c = detect_steady_state(
+            times[-STEADY_WINDOW:], rates[-STEADY_WINDOW:], steady_tol)
         if converged:
             return SteadyRun(True, t_c, state, np.array(times), np.array(rates))
     return SteadyRun(False, None, state, np.array(times), np.array(rates))

@@ -120,7 +120,7 @@ class SpectralVelocity:
     def max_coeff(self) -> float:
         return float(np.abs(self.coeffs).max())
 
-    def validate(self, div_tol: float = DIV_TOL) -> None:
+    def validate(self) -> None:
         """Raise FieldError if any invariant is violated."""
         peak = self.max_coeff()
         if not np.isfinite(peak):
@@ -128,7 +128,7 @@ class SpectralVelocity:
         if np.abs(self.coeffs[:, 0, 0, 0]).max() != 0.0:
             raise FieldError("zero mode is not zero")
         scale = max(peak, 1e-300)
-        if divergence_max(self.coeffs, self.grid) > div_tol * scale:
+        if divergence_max(self.coeffs, self.grid) > DIV_TOL * scale:
             raise FieldError("field is not divergence-free")
         if hermitian_defect(self.coeffs, self.grid) > 1e-12 * scale:
             raise FieldError("field is not Hermitian-symmetric (not real)")

@@ -32,7 +32,6 @@ on first use.
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 from typing import Callable
 
@@ -40,8 +39,7 @@ import numpy as np
 import scipy.fft as _fft
 
 __all__ = [
-    "GridError", "WaveGrid", "check_grid", "slab_planes", "set_fft_workers",
-    "get_fft_workers",
+    "GridError", "WaveGrid", "check_grid", "retained_half_modes", "slab_planes", "get_fft_workers",
 ]
 
 
@@ -49,7 +47,9 @@ class GridError(ValueError):
     """Invalid grid parameters."""
 
 
-_FFT_WORKERS = int(os.environ.get("DAMPEDNS_FFT_WORKERS", "1"))
+# Worker count of every scipy.fft call. It is passed explicitly, so a
+# caller's ``scipy.fft.set_workers`` context cannot change the transform order.
+FFT_WORKERS = 1
 
 # Physical-space budget of one slab of x1-planes: a slab holds the largest
 # number of planes whose six real components (velocity and vorticity) fit
@@ -64,16 +64,14 @@ def slab_planes(n: int) -> int:
     return max(1, min(n, SLAB_BYTES // (6 * 8 * n * n)))
 
 
-def set_fft_workers(n: int) -> None:
-    """Set the worker count for all FFT calls (default 1, deterministic)."""
-    global _FFT_WORKERS
-    if n < 1:
-        raise ValueError("worker count must be >= 1")
-    _FFT_WORKERS = int(n)
-
-
 def get_fft_workers() -> int:
-    return _FFT_WORKERS
+    """The fixed FFT worker count, :data:`FFT_WORKERS`."""
+    return FFT_WORKERS
+
+
+def retained_half_modes(n: int) -> int:
+    """K: the 2/3 rule keeps the half-axis modes 0..K-1, those with m < n/3."""
+    return -(-n // 3)
 
 
 def check_grid(n: int, length: float) -> None:
@@ -102,7 +100,7 @@ class WaveGrid:
         self.nk = self.n // 2 + 1  # half-spectrum modes along the last axis, inside the transforms
 
         # 2/3 rule: keep |m_i| < N/3 on every axis.
-        self.kb = int(np.count_nonzero(np.arange(self.nk) < self.n / 3.0))  # K: retained half-axis modes
+        self.kb = retained_half_modes(self.n)  # K: retained half-axis modes
         self.mb = 2 * self.kb - 1  # M: retained modes per full axis
         self.n_retained = self.mb ** 3
         # Signed retained modes, FFT ordering: 0, 1, ..., K-1, -(K-1), ..., -1 on a full axis.
@@ -238,7 +236,7 @@ class WaveGrid:
         per-grid workspaces make concurrent calls on one grid unsafe.
         """
         return _fft.irfft(self._inverse_lines(coeffs), n=self.n, axis=-1, norm="forward",
-                          workers=_FFT_WORKERS)
+                          workers=FFT_WORKERS)
 
     def transform_pointwise(
         self, coeffs: np.ndarray, fn: Callable[[np.ndarray, np.ndarray], None],
@@ -264,8 +262,8 @@ class WaveGrid:
         for lo in range(0, n, planes):
             hi = min(lo + planes, n)
             out = slab[:, :hi - lo]
-            fn(_fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=_FFT_WORKERS), out)
-            half = _fft.rfft(out, axis=-1, workers=_FFT_WORKERS)
+            fn(_fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS), out)
+            half = _fft.rfft(out, axis=-1, workers=FFT_WORKERS)
             np.multiply(half[..., :kb].view(np.float64), self._fwd_scale, out=spec_re[:, lo:hi])
         _c2c_inplace(spec, -3)
         for rows, _ in self._halves:  # only the retained k1 rows go on to the k2 pass
@@ -278,7 +276,7 @@ class WaveGrid:
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real collocation values -> their retained block (batched over leading axes)."""
-        return self.gather(_fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=_FFT_WORKERS))
+        return self.gather(_fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=FFT_WORKERS))
 
     # ------------------------------------------------------------------
     # coordinates
@@ -299,6 +297,6 @@ def _c2c_inplace(x: np.ndarray, axis: int, inverse: bool = False) -> None:
     """Unnormalised c2c transform of ``x`` along ``axis``, written back into ``x``."""
     fn = _fft.ifft if inverse else _fft.fft
     res = fn(x, axis=axis, norm="forward" if inverse else "backward", overwrite_x=True,
-             workers=_FFT_WORKERS)
+             workers=FFT_WORKERS)
     if not np.may_share_memory(res, x):  # the transform was not done in place
         x[...] = res

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import CSV_COLUMNS, DiagnosticsRecord, _dEdt
 from .fields import SpectralVelocity
-from .grid import WaveGrid
+from .grid import GridError, WaveGrid, retained_half_modes
 from .timestepping import Physics, SolverState
 
 __all__ = [
@@ -245,10 +245,14 @@ def read_snapshot(path: str | Path) -> tuple[SolverState, SnapshotHeader]:
     if zlib.crc32(blob) != header.checksum:
         raise StorageError(f"{path}: checksum mismatch (corrupted snapshot)")
 
-    grid = WaveGrid(header.n, header.length)
-    flat, conj = _mode_order(grid)
-    if flat.size != header.n_modes:
+    # compare before building the grid, so a corrupted n allocates nothing
+    if header.n_modes != (2 * retained_half_modes(header.n) - 1) ** 3:
         raise StorageError(f"{path}: mode count {header.n_modes} does not match grid n={header.n}")
+    try:
+        grid = WaveGrid(header.n, header.length)
+    except GridError as exc:
+        raise StorageError(f"{path}: bad grid in header: {exc}") from exc
+    flat, conj = _mode_order(grid)
     payload = np.frombuffer(blob, dtype="<f8").reshape(3, header.n_modes, 2)
     vals = payload[..., 0] + 1j * payload[..., 1]
     coeffs = np.zeros((3, grid.mb * grid.mb * grid.kb), np.complex128)

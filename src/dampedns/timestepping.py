@@ -55,9 +55,9 @@ class BlowUpError(SolverError):
 class SchemeConfig:
     """Time-stepping controls.
 
-    ``dt`` is the fixed step (and the starting point for adaptive runs);
-    adaptive steps are clamped to [dt_min, dt_max] from a CFL target on the
-    pointwise speed plus a damping stiffness guard.
+    ``dt`` is the fixed step. An adaptive step never reads it (it is only
+    validated): :func:`step` takes dt from the first stage's peak speed, with
+    a CFL target plus a damping stiffness guard, clamped to [dt_min, dt_max].
     """
 
     method: str = "if-rk2"
@@ -104,9 +104,6 @@ class SolverState:
     step_count: int = 0
     last_dt: float = 0.0
 
-    def copy(self) -> "SolverState":
-        return SolverState(self.t, self.u.copy(), self.step_count, self.last_dt)
-
 
 def explicit_rhs(u: SpectralVelocity, physics: Physics) -> SpectralVelocity:
     """Non-viscous right-hand side N(u) + D(u) + P f.
@@ -143,14 +140,13 @@ def step(
     state: SolverState,
     scheme: SchemeConfig,
     physics: Physics,
-    dt: float | None = None,
     until: float | None = None,
 ) -> SolverState:
     """Advance one step; returns a new state, never mutates the input.
 
-    Unless ``dt`` is given, an adaptive scheme takes it from the peak speed
-    of the first stage (the value :func:`adapt_dt` gives), a fixed one uses
-    ``scheme.dt``; ``until`` clips it so the step does not pass that time.
+    An adaptive scheme takes dt from the peak speed of the first stage (the
+    value :func:`adapt_dt` gives), a fixed one uses ``scheme.dt``; ``until``
+    clips it so the step does not pass that time.
     The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
     terms are advanced explicitly at the configured order, all on the
     retained block. The result is re-projected to keep the field invariants
@@ -160,8 +156,7 @@ def step(
     coeffs = state.u.coeffs
     al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
     k1, speed = nonviscous_rhs(coeffs, grid, al, be, f, return_speed=True)
-    if dt is None:
-        dt = _cfl_dt(speed, state.t, grid, scheme, physics) if scheme.adaptive else scheme.dt
+    dt = _cfl_dt(speed, state.t, grid, scheme, physics) if scheme.adaptive else scheme.dt
     if until is not None:
         dt = min(dt, until - state.t)
     if dt <= 0.0:

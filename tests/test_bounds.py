@@ -195,11 +195,6 @@ class TestAbsorbingBall:
         with pytest.raises(ValueError, match="too short"):
             check_absorbing_ball(recs, 0.1, 1.0, 0.0, dt=1e-3)
 
-    def test_entry_tol_range(self):
-        recs = shear_decay_records(e0=100.0, T=60.0, n=601)
-        with pytest.raises(ValueError):
-            check_absorbing_ball(recs, 0.1, 1.0, 0.0, entry_tol=2.0, dt=1e-3)
-
 
 class TestNormBoundedness:
     def test_regime_precondition(self):

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,18 @@ class TestRunCommand:
             capsys, "run", str(cfg), "--restart", f"{tmp_path}/out/quick-final.snap")
         assert code == 0
         assert rows[-1]["t_end"] == pytest.approx(0.3)  # already at t_end
+
+    def test_restart_from_corrupted_header_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CONFIG + f"output_dir = {tmp_path}/out\n")
+        snap = bytearray((Path(__file__).parent / "data" / "v1-n8.snap").read_bytes())
+        struct.pack_into("<I", snap, struct.calcsize("<8sI"), 9)  # header n: 8 -> 9
+        bad = tmp_path / "bad.snap"
+        bad.write_bytes(bytes(snap))
+        code = main(["run", str(cfg), "--restart", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_restart_past_t_end_exits_2_and_keeps_csv(self, capsys, tmp_path):
         cfg = tmp_path / "quick.cfg"

@@ -162,7 +162,7 @@ class TestEnergyBalanceResidual:
         T = 1.0
         recs = [record(st.u, st.t, ph)]
         for _ in range(int(T / 1e-3)):
-            st = step(st, sc, ph, dt=1e-3)
+            st = step(st, sc, ph)
             recs.append(record(st.u, st.t, ph))
         _, res = energy_balance_residual(recs, ph.mu)
         assert np.abs(res).max() <= 1e-6 * e0 / T
@@ -178,7 +178,7 @@ class TestEnergyBalanceResidual:
             st = SolverState(0.0, u0.copy())
             recs = [record(st.u, st.t, ph)]
             for k in range(int(round(1.0 / dt))):
-                st = step(st, SchemeConfig(dt=dt, adaptive=False), ph, dt=dt)
+                st = step(st, SchemeConfig(dt=dt, adaptive=False), ph)
                 if st.step_count % 5 == 0:
                     recs.append(record(st.u, st.t, ph))
             _, res = energy_balance_residual(recs, ph.mu)

@@ -1,6 +1,8 @@
 """Diagnostics CSV and snapshot round trips, restart equivalence."""
 
+import dataclasses
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,18 @@ from dampedns import (
 from dampedns import storage
 from dampedns.diagnostics import DiagnosticsRecord
 from dampedns.storage import check_restart_compatible, read_snapshot_header
+
+V1_FIXTURE = Path(__file__).parent / "data" / "v1-n8.snap"
+
+
+def fixture_with_header(path, **fields):
+    """Write the v1 fixture to ``path`` with header fields replaced. The
+    checksum covers the payload only, so it still holds."""
+    raw = V1_FIXTURE.read_bytes()
+    header = dataclasses.replace(read_snapshot_header(V1_FIXTURE), **fields)
+    head = struct.pack(storage._HEADER_FMT, *dataclasses.astuple(header))
+    path.write_bytes(head + raw[len(head):])
+    return path
 
 
 def small_run(n=8, seed=1, t_end=0.2, dt=0.01, stride=2):
@@ -118,8 +132,7 @@ class TestSnapshots:
         """The on-disk v1 format is pinned: a snapshot written by an earlier
         release (n = 8, random IC seed 3, cylinder forcing, five IF-RK2 steps
         of dt = 0.01) reads back and writes out as the same bytes."""
-        fixture = Path(__file__).parent / "data" / "v1-n8.snap"
-        state, header = read_snapshot(fixture)
+        state, header = read_snapshot(V1_FIXTURE)
         assert (header.magic, header.version, header.n, header.length) == (b"DNSNAP01", 1, 8, 2 * np.pi)
         assert (header.t, header.mu, header.alpha, header.beta) == (0.05, 0.1, 0.5, 3.0)
         assert (header.step_count, header.last_dt, header.n_modes) == (5, 0.01, 125)
@@ -129,7 +142,7 @@ class TestSnapshots:
                      forcing=ForcingField.zero(state.u.grid))
         path = tmp_path / "again.snap"
         write_snapshot(state, ph, path)
-        assert path.read_bytes() == fixture.read_bytes()
+        assert path.read_bytes() == V1_FIXTURE.read_bytes()
 
     def test_header_readable_standalone(self, tmp_path):
         g, ph, sc, st, _ = small_run()
@@ -197,6 +210,26 @@ class TestSnapshots:
         path = tmp_path / "s.snap"
         path.write_bytes(b"NOTASNAP" + b"\0" * 100)
         with pytest.raises(StorageError, match="magic"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"n": 9}, "bad grid"),
+        ({"length": -1.0}, "bad grid"),
+        ({"n": 10}, "mode count"),
+    ], ids=["n-odd", "length-negative", "n-mode-count"])
+    def test_corrupted_header_grid_rejected(self, tmp_path, fields, match):
+        path = fixture_with_header(tmp_path / "bad.snap", **fields)
+        with pytest.raises(StorageError, match=match):
+            read_snapshot(path)
+
+    def test_mode_count_checked_before_grid_is_built(self, tmp_path, monkeypatch):
+        # a header n flipped to a large even value must not allocate its grid
+        def no_grid(*args):
+            raise AssertionError("grid built from a corrupted header")
+
+        monkeypatch.setattr(storage, "WaveGrid", no_grid)
+        path = fixture_with_header(tmp_path / "bad.snap", n=1024)
+        with pytest.raises(StorageError, match="mode count"):
             read_snapshot(path)
 
     def test_restart_compatibility_checks(self, tmp_path):

@@ -16,10 +16,8 @@ from dampedns import (
     WaveGrid,
     adapt_dt,
     explicit_rhs,
-    get_fft_workers,
     integrate,
     make_initial_condition,
-    set_fft_workers,
     step,
 )
 from dampedns.config import build_grid, build_physics, build_state, load_preset
@@ -110,13 +108,13 @@ class TestStep:
         u = make_initial_condition(g, "random", seed=4, energy=1.0)
         f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
         ph = Physics(mu=0.05, alpha=0.5, beta=3.0, forcing=f)
-        sc = SchemeConfig(method=method, dt=1e-2, adaptive=False)
         h = 0.04 if method == "if-rk2" else 0.16
 
         def run(nsteps):
+            sc = SchemeConfig(method=method, dt=h / nsteps, dt_max=h, adaptive=False)
             st = SolverState(0.0, u.copy())
             for _ in range(nsteps):
-                st = step(st, sc, ph, dt=h / nsteps)
+                st = step(st, sc, ph)
             return st.u.coeffs
 
         ref = run(8)
@@ -326,22 +324,3 @@ class TestTransformCount:
             monkeypatch.setattr(WaveGrid, name, counting(name, inverse, forward))
         step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=adaptive), ph)
         assert counts == {"inverse": 12, "forward": 6}
-
-
-class TestFftWorkers:
-    def test_trajectory_bitwise_across_worker_counts(self):
-        cfg = cylinder_config(32)
-        grid = build_grid(cfg)
-        physics = build_physics(cfg, grid)
-
-        def run(workers):
-            prev = get_fft_workers()
-            set_fft_workers(workers)
-            try:
-                return integrate(build_state(cfg, grid), 0.5, cfg.scheme, physics)
-            finally:
-                set_fft_workers(prev)
-
-        one, two = run(1), run(2)
-        assert one.step_count == two.step_count >= 10
-        assert np.array_equal(one.u.coeffs, two.u.coeffs)
