@@ -39,6 +39,7 @@ from .diagnostics import (
 )
 from .bounds import (
     BoundReport,
+    NotApplicable,
     RegimeError,
     check_absorbing_ball,
     check_damping_positivity,

@@ -4,7 +4,8 @@ Each check turns one a-priori inequality of the damped system into a
 tolerance-aware assertion on a diagnostics series and reports the signed
 per-time margin (bound minus observed), so a failure distinguishes a real
 violation from discretization slack. All checks are pure functions of the
-records: identical inputs give bit-identical reports.
+records: identical inputs give bit-identical reports. A check that does not
+apply to a run raises :class:`NotApplicable`, so a caller can skip it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 
 __all__ = [
+    "NotApplicable",
     "RegimeError",
     "BoundReport",
     "BOUND_IDS",
@@ -37,6 +39,7 @@ BOUND_IDS = (
     "absorbing_ball",
     "damping_positivity",
     "norm_boundedness",
+    "monotone_envelope",
 )
 
 # Two closely related parameter regimes appear in the theory; each check
@@ -56,7 +59,11 @@ ENTRY_TOL = 1.0
 T_SLACK = 1.0
 
 
-class RegimeError(ValueError):
+class NotApplicable(ValueError):
+    """A check's precondition does not hold for this run, so it has no verdict."""
+
+
+class RegimeError(NotApplicable):
     """Physics parameters violate the regime a check requires."""
 
 
@@ -110,7 +117,6 @@ def _scheme_tolerance(dt: float, order: int, scale: float) -> float:
 
 def check_decay_bound(
     records: list[DiagnosticsRecord],
-    e0: float,
     mu: float,
     lambda1: float,
     f_norm_sq: float,
@@ -121,11 +127,11 @@ def check_decay_bound(
 ) -> BoundReport:
     """E(t) <= exp(-mu lambda1 t) E(0) + |f|^2 / (mu^2 lambda1^2) + tol.
 
-    ``e0`` must be the recorded initial energy of the same run. Failures are
-    reported, not raised.
+    E(0) is the first record's energy. Failures are reported, not raised.
     """
     t = np.array([r.t for r in records])
     e = np.array([r.E for r in records])
+    e0 = records[0].E
     floor = f_norm_sq / (mu ** 2 * lambda1 ** 2)
     bound = np.exp(-mu * lambda1 * (t - t[0])) * e0 + floor
     tol = _scheme_tolerance(dt, order, e0) if tolerance is None else tolerance
@@ -204,14 +210,14 @@ def check_absorbing_ball(
     radius^2 + tol for all later records, and asserts t* does not exceed the
     decay-bound prediction log(E0/ENTRY_TOL)/(mu lambda1) + T_SLACK. The
     entry-time margin (in time units) is appended as the last margin entry.
-    Requires a run long enough that exp(-mu lambda1 T) E0 <= ENTRY_TOL.
+    Raises NotApplicable if the run is too short: exp(-mu lambda1 T) E0 > ENTRY_TOL.
     """
     t = np.array([r.t for r in records])
     e = np.array([r.E for r in records])
     e0 = e[0]
     horizon = t[-1] - t[0]
     if math.exp(-mu * lambda1 * horizon) * e0 > ENTRY_TOL:
-        raise ValueError(
+        raise NotApplicable(
             f"run too short to guarantee entry: exp(-mu lambda1 T) E0 = "
             f"{math.exp(-mu * lambda1 * horizon) * e0:.3e} > ENTRY_TOL = {ENTRY_TOL:g}"
         )
@@ -248,8 +254,8 @@ def check_norm_boundedness(
     regularity regime but the constants are non-constructive, so the check
     is empirical: it reports the suprema after burn-in and asserts there is
     no growth trend over the final half of the run (slope of the log
-    sup-envelope at most ``SLOPE_TOL`` per time unit). Regime violations are
-    precondition errors.
+    sup-envelope at most ``SLOPE_TOL`` per time unit). Raises RegimeError
+    outside the regime, NotApplicable with under 4 records after burn-in.
     """
     if not in_regularity_regime(mu, alpha, beta):
         raise RegimeError(
@@ -259,7 +265,7 @@ def check_norm_boundedness(
     t = np.array([r.t for r in records])
     tail = t >= burn_in - 1e-12
     if tail.sum() < 4:
-        raise ValueError("need at least 4 records after burn_in")
+        raise NotApplicable("need at least 4 records after burn_in")
     t_tail = t[tail]
     quantities = {
         "V2": np.array([r.V2 for r in records])[tail],
@@ -298,12 +304,12 @@ def monotone_envelope_max_excess(
     *,
     dt: float,
     order: int = 2,
-) -> tuple[bool, float]:
-    """Violation of the non-increasing envelope J(t) = E(t) - |f|^2 t/(mu lambda1).
+) -> BoundReport:
+    """Non-increasing envelope J(t) = E(t) - |f|^2 t/(mu lambda1).
 
     For exact trajectories J never increases; discretely each adjacent pair
-    may slip by the scheme slack. Returns (ok, worst excess beyond slack);
-    excess <= 0 means the property holds everywhere.
+    may slip by the scheme slack. The margin at each pair's later time is
+    minus its excess beyond the slack, so -min_margin is the worst excess.
     """
     t = np.array([r.t for r in records])
     e = np.array([r.E for r in records])
@@ -311,6 +317,5 @@ def monotone_envelope_max_excess(
     jumps = np.diff(j)
     h = np.diff(t)
     slack = dt ** order * (e[:-1] + f_norm_sq / (mu * lambda1) ** 2 + 1.0) * h + 1e-12
-    excess = jumps - slack
-    worst = float(excess.max()) if excess.size else 0.0
-    return worst <= 0.0, worst
+    # -(jumps - slack), not slack - jumps: an exact tie reads -0.0
+    return _report("monotone_envelope", t[1:], -(jumps - slack), 0.0)

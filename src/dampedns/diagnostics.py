@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .fields import SpectralVelocity, h_inner
+from .fields import SpectralVelocity, h_inner, h_norm_sq
 from .timestepping import Physics, SolverState, Observer
 
 __all__ = [
@@ -63,7 +63,7 @@ def record(u: SpectralVelocity, t: float, physics: Physics) -> DiagnosticsRecord
     w = grid.hermitian_weight
     vol = grid.length ** 3
     p = c.real ** 2 + c.imag ** 2
-    e = vol * float(np.einsum("cxyz,z->", p, w))
+    e = h_norm_sq(c, grid)
     v2 = vol * float(np.einsum("cxyz,xyz,z->", p, grid.ksq, w))
     a2 = vol * float(np.einsum("cxyz,xyz,z->", p, grid.ksq2, w))
 

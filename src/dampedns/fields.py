@@ -21,6 +21,7 @@ __all__ = [
     "SpectralVelocity",
     "PhysicalVelocity",
     "ForcingField",
+    "project_coeffs",
     "h_norm_sq",
     "h_inner",
     "divergence_max",
@@ -38,19 +39,37 @@ class FieldError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# norms on raw coefficient arrays
+# norms and projection on raw coefficient arrays
 # ----------------------------------------------------------------------
 
-def h_norm_sq(coeffs: np.ndarray, grid: WaveGrid) -> float:
-    """Squared L2 norm |u|^2 via Parseval on block coefficients."""
-    p = coeffs.real ** 2 + coeffs.imag ** 2
-    return grid.length ** 3 * float(np.einsum("az,z->", p.reshape(-1, grid.kb), grid.hermitian_weight))
-
-
 def h_inner(a: np.ndarray, b: np.ndarray, grid: WaveGrid) -> float:
-    """L2 inner product (a, b) of two real fields given as coefficients."""
+    """L2 inner product (a, b) of two real fields given as block coefficients (Parseval)."""
     p = a.real * b.real + a.imag * b.imag
     return grid.length ** 3 * float(np.einsum("az,z->", p.reshape(-1, grid.kb), grid.hermitian_weight))
+
+
+def h_norm_sq(coeffs: np.ndarray, grid: WaveGrid) -> float:
+    """Squared L2 norm |u|^2 = (u, u)."""
+    return h_inner(coeffs, coeffs, grid)
+
+
+def project_coeffs(coeffs: np.ndarray, grid: WaveGrid) -> np.ndarray:
+    """In-place Leray projection: u_hat -= k (k . u_hat) / |k|^2, zero mean.
+
+    Acts mode-by-mode with the real symmetric matrix I - k k^T/|k|^2, so it
+    is idempotent and preserves Hermitian symmetry. The k = 0 mode is
+    zeroed outright (zero-mean constraint).
+    """
+    kv = grid.kvec
+    div = kv[0] * coeffs[0]
+    div += kv[1] * coeffs[1]
+    div += kv[2] * coeffs[2]
+    div *= grid.inv_ksq
+    coeffs[0] -= kv[0] * div
+    coeffs[1] -= kv[1] * div
+    coeffs[2] -= kv[2] * div
+    coeffs[:, 0, 0, 0] = 0.0
+    return coeffs
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +200,6 @@ class ForcingField:
     """
 
     def __init__(self, grid: WaveGrid, coeffs: np.ndarray, description: str = "explicit"):
-        from .operators import project_coeffs  # local import breaks the cycle
-
         _check_shape(coeffs, grid, "forcing")
         c = np.array(coeffs, dtype=np.complex128, order="C")
         project_coeffs(c, grid)
@@ -270,8 +287,6 @@ def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> S
     Per-mode energy follows |u_hat(k)|^2 ~ |k|^slope before projection;
     negative slopes concentrate energy at large scales.
     """
-    from .operators import project_coeffs
-
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
     c = grid.to_spectral(noise)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .grid import WaveGrid, slab_planes
-from .fields import SpectralVelocity
+from .fields import SpectralVelocity, project_coeffs
 
 __all__ = [
     "check_physics",
@@ -41,25 +41,6 @@ def check_physics(alpha: float, beta: float, mu: float | None = None) -> None:
         raise ValueError(f"alpha must be > 0 and finite (damping strength), got {alpha}")
     if not 1.0 <= beta < math.inf:
         raise ValueError(f"beta must be >= 1 and finite (damping exponent), got {beta}")
-
-
-def project_coeffs(coeffs: np.ndarray, grid: WaveGrid) -> np.ndarray:
-    """In-place Leray projection: u_hat -= k (k . u_hat) / |k|^2, zero mean.
-
-    Acts mode-by-mode with the real symmetric matrix I - k k^T/|k|^2, so it
-    is idempotent and preserves Hermitian symmetry. The k = 0 mode is
-    zeroed outright (zero-mean constraint).
-    """
-    kv = grid.kvec
-    div = kv[0] * coeffs[0]
-    div += kv[1] * coeffs[1]
-    div += kv[2] * coeffs[2]
-    div *= grid.inv_ksq
-    coeffs[0] -= kv[0] * div
-    coeffs[1] -= kv[1] * div
-    coeffs[2] -= kv[2] * div
-    coeffs[:, 0, 0, 0] = 0.0
-    return coeffs
 
 
 def leray_project(v_hat: np.ndarray, grid: WaveGrid) -> SpectralVelocity:
@@ -126,12 +107,11 @@ def _rhs_kernel(
                 out[i] -= tmp
         else:
             out[...] = 0.0  # 0 - x below, not -x: the signed zeros of the half-spectrum reference
-        if beta == 1.0:
-            fac = alpha
-        else:
-            fac = s2
-            fac **= expo  # in place; takes the sqrt fast path of s2 ** 0.5 too, so the bits match
-            fac *= alpha
+        # in place, with numpy's fast paths of s2 ** expo: exponent 0 (beta = 1)
+        # fills ones, NaN and inf included, and 0.5 is sqrt, so the bits match
+        fac = s2
+        fac **= expo
+        fac *= alpha
         np.multiply(fac, u, out=prod)
         out -= prod
 

@@ -28,7 +28,7 @@ from dampedns import (
     record,
     step,
 )
-from dampedns.bounds import check_damping_positivity, monotone_envelope_max_excess
+from dampedns.bounds import check_damping_positivity
 from dampedns.config import ConfigError, InitialSpec, load_preset, build_grid, build_physics, build_state
 from dampedns.diagnostics import energy_balance_residual
 from dampedns.experiments import (
@@ -161,7 +161,7 @@ def test_criterion_3_decay_bound(bound_runs):
             recs = run["records"]
             physics = run["physics"]
             rep = check_decay_bound(
-                recs, recs[0].E, physics.mu, run["grid"].lambda1,
+                recs, physics.mu, run["grid"].lambda1,
                 physics.forcing.norm_sq, dt=run["scheme"].dt_max,
                 tolerance=1e-6 * recs[0].E,
             )

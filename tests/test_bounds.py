@@ -8,6 +8,7 @@ import pytest
 from dampedns import (
     BoundReport,
     ForcingField,
+    NotApplicable,
     Physics,
     RegimeError,
     SchemeConfig,
@@ -68,23 +69,23 @@ class TestRegimes:
 class TestReportInvariant:
     def test_pass_iff_min_margin_within_tolerance(self):
         recs = [synth(t, e) for t, e in ((0.0, 1.0), (1.0, 2.0))]
-        rep = check_decay_bound(recs, 1.0, 1.0, 1.0, 0.0, dt=1e-3, tolerance=0.5)
+        rep = check_decay_bound(recs, 1.0, 1.0, 0.0, dt=1e-3, tolerance=0.5)
         # bound at t=1 is e^{-1}, observed 2.0: margin < -0.5 -> fail
         assert not rep.passed
-        rep2 = check_decay_bound(recs, 1.0, 1.0, 1.0, 0.0, dt=1e-3, tolerance=2.0)
+        rep2 = check_decay_bound(recs, 1.0, 1.0, 0.0, dt=1e-3, tolerance=2.0)
         assert rep2.passed
         assert rep2.min_margin == pytest.approx(math.exp(-1.0) - 2.0)
 
     def test_bound_ids_closed_set(self):
         assert set(BOUND_IDS) == {
             "energy_decay", "energy_integral", "absorbing_ball",
-            "damping_positivity", "norm_boundedness",
+            "damping_positivity", "norm_boundedness", "monotone_envelope",
         }
 
     def test_reports_reproducible(self):
         recs = shear_decay_records()
-        a = check_decay_bound(recs, 4.0, 0.1, 1.0, 0.0, dt=1e-3)
-        b = check_decay_bound(recs, 4.0, 0.1, 1.0, 0.0, dt=1e-3)
+        a = check_decay_bound(recs, 0.1, 1.0, 0.0, dt=1e-3)
+        b = check_decay_bound(recs, 0.1, 1.0, 0.0, dt=1e-3)
         assert np.array_equal(a.margin, b.margin)
         assert a.row() == b.row()
 
@@ -98,26 +99,26 @@ class TestDecayBound:
     def test_shear_decay_strict_margin(self):
         # true rate 2(mu lam1 + alpha) exceeds the bound rate mu lam1
         recs = shear_decay_records(mu=0.1, alpha=0.2, e0=4.0)
-        rep = check_decay_bound(recs, 4.0, 0.1, 1.0, 0.0, dt=1e-3)
+        rep = check_decay_bound(recs, 0.1, 1.0, 0.0, dt=1e-3)
         assert rep.passed
         assert rep.margin[1:].min() > 0.0
         assert rep.margin[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_initial_data_reduces_to_floor(self):
-        recs = [synth(t, 0.5) for t in np.linspace(0, 5, 6)]
-        rep = check_decay_bound(recs, 0.0, 1.0, 1.0, 1.0, dt=1e-3)
+        recs = [synth(t, 0.0 if t == 0.0 else 0.5) for t in np.linspace(0, 5, 6)]
+        rep = check_decay_bound(recs, 1.0, 1.0, 1.0, dt=1e-3)
         assert rep.passed  # E = 0.5 <= floor = 1.0
         assert rep.min_margin == pytest.approx(0.5)
 
     def test_floor_margin_at_t0(self):
         recs = [synth(0.0, 1.0)]
-        rep = check_decay_bound(recs, 1.0, 2.0, 1.5, 9.0, dt=1e-3)
+        rep = check_decay_bound(recs, 2.0, 1.5, 9.0, dt=1e-3)
         assert rep.min_margin == pytest.approx(9.0 / (2.0 ** 2 * 1.5 ** 2))
 
     def test_violation_detected(self):
         recs = shear_decay_records()
         recs[5].E = 100.0
-        rep = check_decay_bound(recs, 4.0, 0.1, 1.0, 0.0, dt=1e-3)
+        rep = check_decay_bound(recs, 0.1, 1.0, 0.0, dt=1e-3)
         assert not rep.passed
 
 
@@ -192,13 +193,14 @@ class TestAbsorbingBall:
 
     def test_short_run_precondition(self):
         recs = shear_decay_records(e0=100.0, T=1.0, n=11)
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(NotApplicable, match="too short"):
             check_absorbing_ball(recs, 0.1, 1.0, 0.0, dt=1e-3)
 
 
 class TestNormBoundedness:
     def test_regime_precondition(self):
         recs = shear_decay_records()
+        assert issubclass(RegimeError, NotApplicable)
         with pytest.raises(RegimeError):
             check_norm_boundedness(recs, 1.0, mu=0.5, alpha=0.5, beta=2.0)
         with pytest.raises(RegimeError):
@@ -219,7 +221,7 @@ class TestNormBoundedness:
 
     def test_needs_enough_tail(self):
         recs = shear_decay_records(T=10.0, n=11)
-        with pytest.raises(ValueError, match="burn_in"):
+        with pytest.raises(NotApplicable, match="burn_in"):
             check_norm_boundedness(recs, 9.9, mu=0.5, alpha=0.6, beta=3.0)
 
 
@@ -234,16 +236,16 @@ class TestDampingPositivityAndEnvelope:
 
     def test_monotone_envelope_on_decay(self):
         recs = shear_decay_records()
-        ok, excess = monotone_envelope_max_excess(recs, 0.1, 1.0, 0.0, dt=1e-3)
-        assert ok
-        assert excess <= 0.0
+        rep = monotone_envelope_max_excess(recs, 0.1, 1.0, 0.0, dt=1e-3)
+        assert rep.passed
+        assert -rep.min_margin <= 0.0
 
     def test_envelope_jump_detected(self):
         recs = shear_decay_records()
         recs[7].E = recs[6].E + 1.0
-        ok, excess = monotone_envelope_max_excess(recs, 0.1, 1.0, 0.0, dt=1e-3)
-        assert not ok
-        assert excess > 0.0
+        rep = monotone_envelope_max_excess(recs, 0.1, 1.0, 0.0, dt=1e-3)
+        assert not rep.passed
+        assert -rep.min_margin > 0.0
 
 
 class TestOnRealTrajectories:
@@ -257,13 +259,12 @@ class TestOnRealTrajectories:
         for k in range(1, 81):
             st = integrate(st, 0.25 * k, sc, ph)
             recs.append(record(st.u, st.t, ph))
-        lam1, f2, e0 = g.lambda1, f.norm_sq, recs[0].E
+        lam1, f2 = g.lambda1, f.norm_sq
 
-        assert check_decay_bound(recs, e0, ph.mu, lam1, f2, dt=sc.dt).passed
+        assert check_decay_bound(recs, ph.mu, lam1, f2, dt=sc.dt).passed
         assert check_integral_bound(recs, 0.0, 20.0, ph.mu, ph.alpha, lam1, f2, dt=sc.dt).passed
         assert check_integral_bound(recs, 10.0, 20.0, ph.mu, ph.alpha, lam1, f2, dt=sc.dt).passed
         assert check_absorbing_ball(recs, ph.mu, lam1, f2, dt=sc.dt).passed
         assert check_norm_boundedness(recs, 5.0, ph.mu, ph.alpha, ph.beta).passed
         assert check_damping_positivity(recs).passed
-        ok, _ = monotone_envelope_max_excess(recs, ph.mu, lam1, f2, dt=sc.dt)
-        assert ok
+        assert monotone_envelope_max_excess(recs, ph.mu, lam1, f2, dt=sc.dt).passed

@@ -168,6 +168,22 @@ class TestVerifyCommand:
         ids = {r["bound_id"] for r in rows if "bound_id" in r}
         assert {"energy_decay", "energy_integral", "damping_positivity"} <= ids
 
+    def test_regularity_regime_lists_every_check(self, capsys, tmp_path):
+        # 4 alpha mu = 1.2 > 1 at beta = 3, and t_end is long enough for the ball
+        cfg = tmp_path / "regular.cfg"
+        cfg.write_text(QUICK_CONFIG.replace("alpha = 0.5", "alpha = 1.5")
+                       .replace("kind = cylinder\nforce = 0, 0.5, 0", "kind = zero")
+                       .replace("t_end = 0.3", "t_end = 2.0")
+                       + f"output_dir = {tmp_path}/out\n")
+        code, rows, _ = run_cli(capsys, "verify", str(cfg))
+        assert code == 0
+        checks = [r for r in rows if "bound_id" in r]
+        assert all(r["pass"] for r in checks)
+        assert [r["bound_id"] for r in checks] == [
+            "damping_positivity", "energy_decay", "energy_integral",
+            "absorbing_ball", "norm_boundedness", "monotone_envelope",
+        ]
+
 
 class TestSweepCommand:
     @pytest.mark.parametrize("args", [
