@@ -11,7 +11,6 @@ from .grid import GridError, WaveGrid, get_fft_workers
 from .fields import (
     FieldError,
     ForcingField,
-    PhysicalVelocity,
     SpectralVelocity,
     h_inner,
     h_norm_sq,
@@ -25,8 +24,6 @@ from .timestepping import (
     SchemeConfig,
     SolverError,
     SolverState,
-    adapt_dt,
-    explicit_rhs,
     integrate,
     step,
 )

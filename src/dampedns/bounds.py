@@ -310,7 +310,10 @@ def monotone_envelope_max_excess(
     For exact trajectories J never increases; discretely each adjacent pair
     may slip by the scheme slack. The margin at each pair's later time is
     minus its excess beyond the slack, so -min_margin is the worst excess.
+    Raises NotApplicable with fewer than 2 records: there is no pair.
     """
+    if len(records) < 2:
+        raise NotApplicable("need at least 2 records for a pair")
     t = np.array([r.t for r in records])
     e = np.array([r.E for r in records])
     j = e - f_norm_sq * t / (mu * lambda1)

@@ -8,7 +8,8 @@ configurations). Summaries go to stdout as JSON; artifacts land in the
 configured output directory.
 
 Exit codes: 0 success, 1 failed checks or solver errors, 2 usage errors
-(a bad config, preset or flag value, or a restart past t_end).
+(a missing, unreadable or invalid config, a bad preset or flag value, or a
+restart past t_end).
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def _load_config(args) -> RunConfig:
         return load_preset(args.preset)
     if not args.config:
         raise ConfigError("either a config file or --preset is required")
-    path = Path(args.config)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    try:
+        text = Path(args.config).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    return parse_config(text)
 
 
 def _run_one(cfg: RunConfig, restart: str | None = None):
@@ -133,7 +135,8 @@ def _cmd_verify(args) -> int:
     with suppress(NotApplicable):
         reports.append(check_norm_boundedness(
             records, t0 + 0.25 * (t1 - t0), physics.mu, physics.alpha, physics.beta))
-    reports.append(monotone_envelope_max_excess(records, physics.mu, lam1, f2, dt=dt, order=order))
+    with suppress(NotApplicable):
+        reports.append(monotone_envelope_max_excess(records, physics.mu, lam1, f2, dt=dt, order=order))
 
     rows = [r.row() for r in reports]
     for row in rows:
@@ -268,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bounds import RegimeError, REGIME_BY_CHECK, in_uniqueness_regime
 from .config import RunConfig, InitialSpec, build_grid, build_physics, build_state
+from .diagnostics import record
 from .fields import SpectralVelocity, h_norm_sq, make_initial_condition
 from .operators import check_physics
 from .timestepping import Physics, SchemeConfig, SolverState, integrate
@@ -282,10 +283,10 @@ def run_convergence_speed_sweep(
                 out.mkdir(parents=True, exist_ok=True)
                 snap_path = str(out / f"{cfg.run_id}-a{alpha:g}-b{beta:g}.snap")
                 write_snapshot(run.state, physics, snap_path)
-            phys_v = run.state.u.to_physical()
+            final = record(run.state.u, run.state.t, physics)
             cells.append(SteadyCell(
                 alpha=alpha, beta=beta, converged=run.converged, t_c=run.t_c,
-                final_norm_sq=run.state.u.norm_h_sq, final_umax=phys_v.max_speed(),
+                final_norm_sq=final.E, final_umax=final.umax,
                 state=run.state, snapshot_path=snap_path,
             ))
     t_c = {(c.alpha, c.beta): c.t_c for c in cells}

@@ -1,10 +1,11 @@
-"""Velocity and forcing fields in spectral and physical representations.
+"""Velocity and forcing fields.
 
 A :class:`SpectralVelocity` is the solver state: the retained 2/3-rule
 block ``(3, M, M, K)`` of a real, zero-mean, divergence-free velocity
 field (see :mod:`dampedns.grid`). It is dealiased by construction, because
 the block holds no other mode; a half-spectrum array is refused, not
-masked. :class:`PhysicalVelocity` holds collocation-grid values.
+masked. Collocation-grid values come from
+:meth:`~dampedns.grid.WaveGrid.to_physical`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .grid import WaveGrid
 __all__ = [
     "FieldError",
     "SpectralVelocity",
-    "PhysicalVelocity",
     "ForcingField",
     "project_coeffs",
     "h_norm_sq",
@@ -129,9 +129,6 @@ class SpectralVelocity:
     def copy(self) -> "SpectralVelocity":
         return SpectralVelocity(self.grid, self.coeffs.copy())
 
-    def to_physical(self) -> "PhysicalVelocity":
-        return PhysicalVelocity(self.grid, self.grid.to_physical(self.coeffs))
-
     @property
     def norm_h_sq(self) -> float:
         return h_norm_sq(self.coeffs, self.grid)
@@ -151,26 +148,6 @@ class SpectralVelocity:
             raise FieldError("field is not divergence-free")
         if hermitian_defect(self.coeffs, self.grid) > 1e-12 * scale:
             raise FieldError("field is not Hermitian-symmetric (not real)")
-
-
-@dataclass
-class PhysicalVelocity:
-    """Collocation-grid velocity values, one real array per component."""
-
-    grid: WaveGrid
-    values: np.ndarray  # float64, shape (3, N, N, N)
-
-    def to_spectral(self) -> SpectralVelocity:
-        c = self.grid.to_spectral(self.values)
-        c[:, 0, 0, 0] = 0.0
-        return SpectralVelocity(self.grid, c)
-
-    def max_speed(self) -> float:
-        """Peak pointwise Euclidean magnitude max_x |u(x)|."""
-        return float(np.sqrt(self.values[0] ** 2 + self.values[1] ** 2 + self.values[2] ** 2).max())
-
-    def mean_abs_max(self) -> float:
-        return float(np.abs(self.values.mean(axis=(1, 2, 3))).max())
 
 
 # ----------------------------------------------------------------------

@@ -59,11 +59,18 @@ def leray_project(v_hat: np.ndarray, grid: WaveGrid) -> SpectralVelocity:
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _rhs_kernel(
+def nonviscous_rhs(
     coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
-    forcing_coeffs: np.ndarray | None, convective: bool = True,
+    forcing_coeffs: np.ndarray | None, *, convective: bool = True,
 ) -> tuple[np.ndarray, float]:
-    """(P[u x omega - alpha |u|^(beta-1) u] + f_hat, max|u(x)|) on retained blocks.
+    """Convective + damping + forcing right-hand side and the peak speed.
+
+    Returns (P[u x omega - alpha |u|^(beta-1) u] + f_hat, max|u(x)|) on
+    retained blocks: nonlinear_term(u) + damping_term(u, alpha, beta) + f_hat,
+    from six inverse and three forward component transforms. The viscous
+    term is excluded; the integrator applies it exactly through the
+    integrating factor, and the first stage of a step takes its CFL step
+    from the peak speed.
 
     [u_hat, ik x u_hat] (only u_hat when ``convective`` is off) goes through
     :meth:`WaveGrid.transform_pointwise`, which calls the pointwise force
@@ -125,10 +132,10 @@ def _rhs_kernel(
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:
     """Convective contribution N(u) = -P[(u . grad) u] = P[u x omega], dealiased.
 
-    The RHS kernel with alpha = 0. u . (u x omega) vanishes pointwise, so
-    <N(u), u> = 0 holds to rounding.
+    :func:`nonviscous_rhs` with alpha = 0 and no forcing. u . (u x omega)
+    vanishes pointwise, so <N(u), u> = 0 holds to rounding.
     """
-    return SpectralVelocity(u.grid, _rhs_kernel(u.coeffs, u.grid, 0.0, 1.0, None)[0])
+    return SpectralVelocity(u.grid, nonviscous_rhs(u.coeffs, u.grid, 0.0, 1.0, None)[0])
 
 
 def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelocity:
@@ -138,27 +145,11 @@ def damping_term(u: SpectralVelocity, alpha: float, beta: float) -> SpectralVelo
     <damping, u> = -alpha (dx^3 sum |u(x)|^(beta+1)) holds exactly by the
     discrete Parseval identity regardless of aliasing in the unretained
     modes. For beta = 1 the factor |u|^0 is identically one and the result
-    is -alpha u with no transforms at all; otherwise it is the RHS kernel
-    without the convective term.
+    is -alpha u with no transforms at all; otherwise it is
+    :func:`nonviscous_rhs` without the convective term.
     """
     check_physics(alpha, beta)
     grid = u.grid
     if beta == 1.0:
         return SpectralVelocity(grid, -alpha * u.coeffs)
-    return SpectralVelocity(grid, _rhs_kernel(u.coeffs, grid, alpha, beta, None, convective=False)[0])
-
-
-def nonviscous_rhs(
-    coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
-    forcing_coeffs: np.ndarray | None, *, return_speed: bool = False,
-) -> np.ndarray | tuple[np.ndarray, float]:
-    """Convective + damping + forcing right-hand side on raw coefficients.
-
-    Equals nonlinear_term(u) + damping_term(u, alpha, beta) + f_hat: six
-    inverse and three forward component transforms. The viscous term is
-    excluded; the integrator applies it exactly through the integrating
-    factor. With ``return_speed`` the result is (rhs, max|u(x)|), from which
-    the first stage of a step takes its CFL step.
-    """
-    out, speed = _rhs_kernel(coeffs, grid, alpha, beta, forcing_coeffs)
-    return (out, speed) if return_speed else out
+    return SpectralVelocity(grid, nonviscous_rhs(u.coeffs, grid, alpha, beta, None, convective=False)[0])

@@ -79,7 +79,11 @@ def read_diagnostics(path: str | Path) -> list[DiagnosticsRecord]:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise StorageError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} columns")
-        records.append(DiagnosticsRecord(*(float(p) for p in parts)))
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            raise StorageError(f"{path}:{lineno}: {exc}") from exc
+        records.append(DiagnosticsRecord(*values))
     return records
 
 

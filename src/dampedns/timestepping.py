@@ -25,8 +25,6 @@ __all__ = [
     "Physics",
     "SolverState",
     "Observer",
-    "explicit_rhs",
-    "adapt_dt",
     "step",
     "integrate",
 ]
@@ -105,16 +103,6 @@ class SolverState:
     last_dt: float = 0.0
 
 
-def explicit_rhs(u: SpectralVelocity, physics: Physics) -> SpectralVelocity:
-    """Non-viscous right-hand side N(u) + D(u) + P f.
-
-    The viscous term is absent by design: the integrator transports it
-    exactly with the per-mode integrating factor.
-    """
-    out = nonviscous_rhs(u.coeffs, u.grid, physics.alpha, physics.beta, physics.forcing.coeffs)
-    return SpectralVelocity(u.grid, out)
-
-
 def _cfl_dt(speed: float, t: float, grid: WaveGrid, scheme: SchemeConfig, physics: Physics) -> float:
     if not np.isfinite(speed):
         raise SolverError(f"non-finite velocity at t={t:.6g}")
@@ -125,17 +113,6 @@ def _cfl_dt(speed: float, t: float, grid: WaveGrid, scheme: SchemeConfig, physic
     return float(min(max(dt, scheme.dt_min), scheme.dt_max))
 
 
-def adapt_dt(state: SolverState, scheme: SchemeConfig, physics: Physics) -> float:
-    """CFL-limited step with a damping stiffness guard.
-
-    dt = clamp(cfl * dx / max|u|, dt_min, dt_max), additionally capped by
-    cfl / (alpha * max|u|^(beta-1)) so the explicit damping term stays
-    stable for large amplitudes. A fluid at rest imposes no constraint and
-    returns dt_max. :func:`step` gets the same value from its first stage.
-    """
-    return _cfl_dt(state.u.to_physical().max_speed(), state.t, state.u.grid, scheme, physics)
-
-
 def step(
     state: SolverState,
     scheme: SchemeConfig,
@@ -144,9 +121,12 @@ def step(
 ) -> SolverState:
     """Advance one step; returns a new state, never mutates the input.
 
-    An adaptive scheme takes dt from the peak speed of the first stage (the
-    value :func:`adapt_dt` gives), a fixed one uses ``scheme.dt``; ``until``
-    clips it so the step does not pass that time.
+    An adaptive scheme takes dt from max|u(x)| of the first stage: the CFL
+    step cfl * dx / max|u|, capped by cfl / (alpha * max|u|^(beta-1)) so the
+    explicit damping term stays stable for large amplitudes, and clamped to
+    [dt_min, dt_max]; a fluid at rest imposes no constraint and gets dt_max.
+    A fixed scheme uses ``scheme.dt``; ``until`` clips either so the step
+    does not pass that time.
     The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
     terms are advanced explicitly at the configured order, all on the
     retained block. The result is re-projected to keep the field invariants
@@ -155,7 +135,7 @@ def step(
     grid = state.u.grid
     coeffs = state.u.coeffs
     al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
-    k1, speed = nonviscous_rhs(coeffs, grid, al, be, f, return_speed=True)
+    k1, speed = nonviscous_rhs(coeffs, grid, al, be, f)
     dt = _cfl_dt(speed, state.t, grid, scheme, physics) if scheme.adaptive else scheme.dt
     if until is not None:
         dt = min(dt, until - state.t)
@@ -165,7 +145,7 @@ def step(
         visc = grid.viscous_factor(physics.mu, dt)
         pred = coeffs + dt * k1
         pred *= visc
-        k2 = nonviscous_rhs(pred, grid, al, be, f)
+        k2, _ = nonviscous_rhs(pred, grid, al, be, f)
         k1 *= 0.5 * dt
         k1 += coeffs
         k1 *= visc
@@ -175,9 +155,9 @@ def step(
     else:  # if-rk4: classical RK4 on the integrating-factor transformed variable
         e_half = grid.viscous_factor(physics.mu, 0.5 * dt)
         e_full = e_half * e_half
-        k2 = nonviscous_rhs(e_half * (coeffs + (0.5 * dt) * k1), grid, al, be, f)
-        k3 = nonviscous_rhs(e_half * coeffs + (0.5 * dt) * k2, grid, al, be, f)
-        k4 = nonviscous_rhs(e_full * coeffs + dt * (e_half * k3), grid, al, be, f)
+        k2 = nonviscous_rhs(e_half * (coeffs + (0.5 * dt) * k1), grid, al, be, f)[0]
+        k3 = nonviscous_rhs(e_half * coeffs + (0.5 * dt) * k2, grid, al, be, f)[0]
+        k4 = nonviscous_rhs(e_full * coeffs + dt * (e_half * k3), grid, al, be, f)[0]
         out = e_full * (coeffs + (dt / 6.0) * k1)
         out += (dt / 3.0) * (e_half * (k2 + k3))
         out += (dt / 6.0) * k4

@@ -17,7 +17,7 @@ import scipy.fft as sfft
 import dampedns.grid as grid_module
 from dampedns import ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step
 from dampedns.grid import slab_planes
-from dampedns.operators import _rhs_kernel, nonviscous_rhs
+from dampedns.operators import nonviscous_rhs
 from dampedns.timestepping import _cfl_dt
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -203,8 +203,7 @@ class TestAgainstFullReference:
         grid, u, physics = setup(n, beta)
         ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
                                  grid.scatter(physics.forcing.coeffs))
-        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, physics.forcing.coeffs,
-                                    return_speed=True)
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, physics.forcing.coeffs)
         assert np.array_equal(grid.scatter(got), ref)
         assert speed == ref_speed
 
@@ -238,7 +237,7 @@ class TestSlabs:
         f = physics.forcing.coeffs if convective else None
         ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
                                  None if f is None else grid.scatter(f), convective)
-        got, speed = _rhs_kernel(u.coeffs, grid, physics.alpha, beta, f, convective)
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f, convective=convective)
         assert np.array_equal(grid.scatter(got), ref)
         assert speed == ref_speed
 
@@ -271,15 +270,15 @@ class TestResultsOwnTheirMemory:
         rng = np.random.default_rng(5)
         first = grids[0]
         c = random_block(first, 3, rng)
-        res, speed = nonviscous_rhs(c, first, 0.7, 2.0, None, return_speed=True)
+        res, speed = nonviscous_rhs(c, first, 0.7, 2.0, None)
         kept = res.copy()
         for rnd in range(2):
             for grid in grids:
                 other = random_block(grid, 3, rng)
                 nonviscous_rhs(other, grid, 0.7, 2.0, None)  # six components in
-                _rhs_kernel(other, grid, 0.7, 2.0, None, convective=False)  # three in
+                nonviscous_rhs(other, grid, 0.7, 2.0, None, convective=False)  # three in
                 grid.to_physical(other)
                 assert np.array_equal(res, kept), (rnd, grid.n)
-        again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, None, return_speed=True)
+        again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, None)
         assert np.array_equal(again, kept) and speed_again == speed
         assert not np.may_share_memory(again, res)

@@ -247,6 +247,11 @@ class TestDampingPositivityAndEnvelope:
         assert not rep.passed
         assert -rep.min_margin > 0.0
 
+    def test_envelope_needs_a_pair(self):
+        recs = shear_decay_records()[:1]
+        with pytest.raises(NotApplicable, match="2 records"):
+            monotone_envelope_max_excess(recs, 0.1, 1.0, 0.0, dt=1e-3)
+
 
 class TestOnRealTrajectories:
     def test_forced_run_all_checks(self):

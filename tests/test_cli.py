@@ -62,6 +62,13 @@ class TestRunCommand:
         assert code == 2
         assert "usage" in captured.err.lower()
 
+    def test_unreadable_config_exits_2_with_usage(self, capsys, tmp_path):
+        code = main(["run", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: cannot read config file: ")
+        assert "usage" in captured.err.lower()
+
     def test_no_config_no_preset_exits_2(self, capsys):
         code = main(["run"])
         assert code == 2
@@ -183,6 +190,24 @@ class TestVerifyCommand:
             "damping_positivity", "energy_decay", "energy_integral",
             "absorbing_ball", "norm_boundedness", "monotone_envelope",
         ]
+
+    def test_zero_step_run_prints_strict_json(self, capsys, tmp_path):
+        """t_end below the landing tolerance: one record and no step, so the
+        envelope check has no pair and prints no row."""
+        cfg = tmp_path / "instant.cfg"
+        cfg.write_text(QUICK_CONFIG.replace("t_end = 0.3", "t_end = 1e-13")
+                       + f"output_dir = {tmp_path}/out\n")
+        code = main(["verify", str(cfg)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(read_diagnostics(tmp_path / "out" / "quick.csv")) == 1
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        assert "monotone_envelope" not in {r.get("bound_id") for r in rows}
+        assert rows[-1] == {"all_pass": True, "command": "verify", "run_id": "quick"}
 
 
 class TestSweepCommand:

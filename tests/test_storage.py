@@ -103,6 +103,16 @@ class TestDiagnosticsCSV:
         with pytest.raises(StorageError, match="header"):
             read_diagnostics(path)
 
+    def test_non_numeric_field_rejected(self, tmp_path):
+        _, _, _, _, recs = small_run()
+        path = tmp_path / "d.csv"
+        write_diagnostics(recs, path)
+        lines = path.read_text().splitlines()
+        lines[2] = "abc" + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StorageError, match=r"d\.csv:3: .*'abc'"):
+            read_diagnostics(path)
+
     def test_write_failure_leaves_partial_marker(self, tmp_path):
         _, _, _, _, recs = small_run()
         path = tmp_path / "d.csv"

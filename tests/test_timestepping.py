@@ -14,8 +14,6 @@ from dampedns import (
     SolverError,
     SolverState,
     WaveGrid,
-    adapt_dt,
-    explicit_rhs,
     integrate,
     make_initial_condition,
     step,
@@ -23,6 +21,7 @@ from dampedns import (
 from dampedns.config import build_grid, build_physics, build_state, load_preset
 from dampedns.fields import h_inner, h_norm_sq
 from dampedns.operators import damping_term, nonlinear_term, nonviscous_rhs
+from dampedns.timestepping import _cfl_dt
 
 
 def shear_setup(n=16, length=2 * np.pi, mu=0.1, alpha=0.2, amp=1.0):
@@ -61,23 +60,24 @@ class TestExplicitRhs:
         g = WaveGrid(8, 1.0)
         u = make_initial_condition(g, "zero")
         ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingField.zero(g))
-        assert np.abs(explicit_rhs(u, ph).coeffs).max() == 0.0
+        rhs, _ = nonviscous_rhs(u.coeffs, g, ph.alpha, ph.beta, ph.forcing.coeffs)
+        assert np.abs(rhs).max() == 0.0
 
     def test_shear_linear_damping_is_minus_alpha_u(self):
         g, u, ph = shear_setup(alpha=0.35)
-        rhs = explicit_rhs(u, ph)
-        assert np.abs(rhs.coeffs + 0.35 * u.coeffs).max() <= 1e-14
+        rhs, _ = nonviscous_rhs(u.coeffs, g, ph.alpha, ph.beta, ph.forcing.coeffs)
+        assert np.abs(rhs + 0.35 * u.coeffs).max() <= 1e-14
 
     def test_power_budget(self):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=0, energy=1.0)
         f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
         ph = Physics(mu=0.05, alpha=0.5, beta=3.0, forcing=f)
-        rhs = explicit_rhs(u, ph)
+        rhs, _ = nonviscous_rhs(u.coeffs, g, ph.alpha, ph.beta, f.coeffs)
         phys = g.to_physical(u.coeffs)
         lbp = g.dx ** 3 * float(((phys ** 2).sum(0) ** 2).sum())
         expected = -ph.alpha * lbp + h_inner(f.coeffs, u.coeffs, g)
-        assert h_inner(rhs.coeffs, u.coeffs, g) == pytest.approx(expected, rel=1e-8)
+        assert h_inner(rhs, u.coeffs, g) == pytest.approx(expected, rel=1e-8)
 
 
 class TestStep:
@@ -160,6 +160,8 @@ class TestStep:
 
 
 class TestAdaptDt:
+    """The dt an adaptive step takes, read back from the step itself."""
+
     def make(self, n=16, length=2 * np.pi):
         g = WaveGrid(n, length)
         return g, Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingField.zero(g))
@@ -168,7 +170,7 @@ class TestAdaptDt:
         g, ph = self.make()
         st = SolverState(0.0, make_initial_condition(g, "zero"))
         sc = SchemeConfig(dt=1e-3, dt_max=0.7, adaptive=True)
-        assert adapt_dt(st, sc, ph) == 0.7
+        assert step(st, sc, ph).last_dt == 0.7
 
     def test_damping_guard_binds(self):
         # max|u| = 1, alpha = 0.5, beta = 3: damping cap is cfl / 0.5
@@ -176,7 +178,7 @@ class TestAdaptDt:
         u = make_initial_condition(g, "shear", amplitude=1.0)
         ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingField.zero(g))
         sc = SchemeConfig(dt=1e-3, dt_max=1e3, dt_min=1e-12, cfl_target=0.4, adaptive=True)
-        dt = adapt_dt(SolverState(0.0, u), sc, ph)
+        dt = step(SolverState(0.0, u), sc, ph).last_dt
         assert dt <= 0.4 / 0.5 + 1e-12
 
     def test_doubling_n_halves_advective_bound(self):
@@ -186,7 +188,7 @@ class TestAdaptDt:
             g = WaveGrid(n, 2 * np.pi)
             u = make_initial_condition(g, "shear", amplitude=100.0)  # advective limit binds
             ph = Physics(mu=0.1, alpha=1e-6, beta=1.0, forcing=ForcingField.zero(g))
-            dts.append(adapt_dt(SolverState(0.0, u), sc, ph))
+            dts.append(step(SolverState(0.0, u), sc, ph).last_dt)
         assert dts[0] / dts[1] == pytest.approx(2.0, rel=1e-10)
 
     def test_nonfinite_velocity_signals(self):
@@ -195,7 +197,7 @@ class TestAdaptDt:
         u.coeffs[0, 0, 1, 0] = np.nan
         sc = SchemeConfig(adaptive=True)
         with pytest.raises(SolverError):
-            adapt_dt(SolverState(0.0, u), sc, ph)
+            step(SolverState(0.0, u), sc, ph)
 
 
 class TestIntegrate:
@@ -276,14 +278,22 @@ def cylinder_run():
 
 
 class TestStageOneDt:
-    def test_step_dt_is_adapt_dt_bitwise(self, cylinder_run):
+    def test_step_dt_is_cfl_dt_of_whole_grid_speed_bitwise(self, cylinder_run):
+        """The in-slab peak speed of the first stage against max|u| of one
+        whole-grid inverse transform."""
         cfg, physics, states, until = cylinder_run
+
+        def cfl_dt(st):
+            v = st.u.grid.to_physical(st.u.coeffs)
+            speed = float(np.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2).max())
+            return _cfl_dt(speed, st.t, st.u.grid, cfg.scheme, physics)
+
         pairs = list(zip(states, states[1:]))
         assert [b.step_count for _, b in pairs] == list(range(1, len(states)))
         for before, after in pairs[:-1]:
-            assert after.last_dt == adapt_dt(before, cfg.scheme, physics)
+            assert after.last_dt == cfl_dt(before)
         before, last = pairs[-1]
-        assert last.last_dt == min(adapt_dt(before, cfg.scheme, physics), until - before.t)
+        assert last.last_dt == min(cfl_dt(before), until - before.t)
         assert last.t == until
         cfl_bound = sum(after.last_dt < cfg.scheme.dt_max for _, after in pairs[:-1])
         assert cfl_bound >= len(pairs) // 2
@@ -292,7 +302,7 @@ class TestStageOneDt:
         cfg, physics, states, _ = cylinder_run
         al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
         for st in states[1:]:
-            fused = nonviscous_rhs(st.u.coeffs, st.u.grid, al, be, f)
+            fused, _ = nonviscous_rhs(st.u.coeffs, st.u.grid, al, be, f)
             parts = nonlinear_term(st.u).coeffs + damping_term(st.u, al, be).coeffs + f
             assert np.abs(fused - parts).max() <= 1e-12 * np.abs(parts).max()
 
