@@ -84,17 +84,14 @@ def _run_one(cfg: RunConfig, restart: str | None = None):
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.run_id}.csv"
-    writer = DiagnosticsWriter(csv_path)
-    observers = [Observer(cfg.diag_stride, lambda st: writer.append(record(st.u, st.t, physics)))]
-    if cfg.snapshot_stride > 0:
-        observers.append(Observer(
-            cfg.snapshot_stride,
-            lambda st: write_snapshot(st, physics, out_dir / f"{cfg.run_id}-{st.step_count:08d}.snap"),
-        ))
-    try:
+    with DiagnosticsWriter(csv_path) as writer:  # published only if the run completes
+        observers = [Observer(cfg.diag_stride, lambda st: writer.append(record(st.u, st.t, physics)))]
+        if cfg.snapshot_stride > 0:
+            observers.append(Observer(
+                cfg.snapshot_stride,
+                lambda st: write_snapshot(st, physics, out_dir / f"{cfg.run_id}-{st.step_count:08d}.snap"),
+            ))
         state = integrate(state, cfg.t_end, cfg.scheme, physics, observers)
-    finally:
-        writer.close()
     write_snapshot(state, physics, out_dir / f"{cfg.run_id}-final.snap")
     return grid, physics, state, read_diagnostics(csv_path), csv_path
 

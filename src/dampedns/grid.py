@@ -28,10 +28,19 @@ and along x2 on the M retained k1 rows only. Every 1D transform is one that
 ``irfftn``/``rfftn`` would run on the same line, so the block equals the
 half-spectrum path bit for bit. Workspaces are kept per grid and allocated
 on first use.
+
+Once the grid outgrows one slab and the process may run on two CPUs
+(:func:`pipeline_parts`), each of the three stages runs in two halves of
+independent lines, one of them on a second thread: the inverse c2c passes
+by k3 column, the slab loop by x1-plane and the forward c2c passes by k3
+column. Each line still sees the same transform and the same pointwise
+arithmetic, so results do not depend on the split.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import cached_property
 from typing import Callable
 
@@ -39,7 +48,8 @@ import numpy as np
 import scipy.fft as _fft
 
 __all__ = [
-    "GridError", "WaveGrid", "check_grid", "retained_half_modes", "slab_planes", "get_fft_workers",
+    "GridError", "WaveGrid", "check_grid", "retained_half_modes", "slab_planes", "pipeline_parts",
+    "get_fft_workers",
 ]
 
 
@@ -50,6 +60,9 @@ class GridError(ValueError):
 # Worker count of every scipy.fft call. It is passed explicitly, so a
 # caller's ``scipy.fft.set_workers`` context cannot change the transform order.
 FFT_WORKERS = 1
+
+# (i, j, k) cyclic: (a x b)_i = a_j b_k - a_k b_j
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 # Physical-space budget of one slab of x1-planes: a slab holds the largest
 # number of planes whose six real components (velocity and vorticity) fit
@@ -62,6 +75,23 @@ SLAB_BYTES = 3 << 19
 def slab_planes(n: int) -> int:
     """x1-planes per slab of :meth:`WaveGrid.transform_pointwise` on an n^3 grid."""
     return max(1, min(n, SLAB_BYTES // (6 * 8 * n * n)))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pipeline_parts(n: int) -> int:
+    """Halves that :meth:`WaveGrid.transform_pointwise` runs side by side on
+    an n^3 grid: 2 once the grid outgrows one slab (:func:`slab_planes` < n)
+    and the process may run on two CPUs, else 1. On a one-slab grid the
+    thread start and the handoff at each stage boundary cost more than the
+    second core saves."""
+    return 2 if slab_planes(n) < n and _usable_cpus() >= 2 else 1
 
 
 def get_fft_workers() -> int:
@@ -206,26 +236,50 @@ class WaveGrid:
             arr = self._work[key] = np.zeros(shape, dtype)
         return arr
 
-    def _inverse_lines(self, coeffs: np.ndarray) -> np.ndarray:
+    def _inverse_lines(
+        self, coeffs: np.ndarray, curl: bool = False,
+    ) -> tuple[np.ndarray, Callable[[int, slice], None]]:
         """The c2c passes of a block's inverse transform, in place in a
         per-grid workspace: k1 on the M retained k2 columns, then k2 on the
         K retained k3 columns.
 
-        Returns the (c, N, N, N//2+1) workspace, ready for ``irfft`` along
-        k3. Its columns k3 >= K are never written and stay zero; the padding
-        the two passes overwrite is re-zeroed on every call.
+        With ``curl``, the velocity block (3, M, M, K) goes in together with
+        its curl ik x c, formed one component at a time and copied into the
+        workspace's quadrants, so the workspace holds six components.
+
+        Returns the (c, N, N, N//2+1) workspace and the stage
+        ``columns(part, k3)`` of :func:`_in_parts` that transforms a share
+        of its k3 columns; the lines of one column never meet another
+        column's. Once every share has run, the workspace is ready for
+        ``irfft`` along k3. Its columns k3 >= K are never written and stay
+        zero; the padding the two passes overwrite is re-zeroed on every
+        call.
         """
-        work = self.workspace("inverse", (coeffs.shape[0], self.n, self.n, self.nk))
-        cols = work[..., :self.kb]
-        for f1, b1 in self._halves:
-            for f2, b2 in self._halves:
-                cols[:, f1, f2] = coeffs[:, b1, b2]
-        for f2, _ in self._halves:
-            cols[:, self._pad, f2] = 0.0
-            _c2c_inplace(cols[:, :, f2], -3, inverse=True)
-        cols[:, :, self._pad] = 0.0
-        _c2c_inplace(cols, -2, inverse=True)
-        return work
+        comps = coeffs.shape[0]
+        work = self.workspace("inverse", (2 * comps if curl else comps, self.n, self.n, self.nk))
+
+        def columns(part: int, k3: slice) -> None:
+            cols, block = work[..., k3], coeffs[..., k3]
+            for f1, b1 in self._halves:
+                for f2, b2 in self._halves:
+                    cols[:comps, f1, f2] = block[:, b1, b2]
+            if curl:  # one component at a time in a cache-sized block, then into the quadrants
+                ik = self.ikvec[..., k3]
+                rot, tmp = self.workspace(f"inverse.curl{part}", (2,) + block.shape[1:])
+                for i, j, k in _CYCLIC:
+                    np.multiply(ik[j], block[k], out=rot)
+                    np.multiply(ik[k], block[j], out=tmp)
+                    rot -= tmp
+                    for f1, b1 in self._halves:
+                        for f2, b2 in self._halves:
+                            cols[3 + i, f1, f2] = rot[b1, b2]
+            for f2, _ in self._halves:
+                cols[:, self._pad, f2] = 0.0
+                _c2c_inplace(cols[:, :, f2], -3, inverse=True)
+            cols[:, :, self._pad] = 0.0
+            _c2c_inplace(cols, -2, inverse=True)
+
+        return work, columns
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Block coefficients (c, M, M, K) -> real collocation values (c, N, N, N).
@@ -235,39 +289,57 @@ class WaveGrid:
         which runs the same 1D transforms in the same axis order. The
         per-grid workspaces make concurrent calls on one grid unsafe.
         """
-        return _fft.irfft(self._inverse_lines(coeffs), n=self.n, axis=-1, norm="forward",
-                          workers=FFT_WORKERS)
+        lines, inverse = self._inverse_lines(coeffs)
+        _in_parts(pipeline_parts(self.n), [(self.kb, inverse)])
+        return _fft.irfft(lines, n=self.n, axis=-1, norm="forward", workers=FFT_WORKERS)
 
     def transform_pointwise(
-        self, coeffs: np.ndarray, fn: Callable[[np.ndarray, np.ndarray], None],
+        self, coeffs: np.ndarray, fn: Callable[[int, int, np.ndarray, np.ndarray], None],
+        *, curl: bool = False,
     ) -> np.ndarray:
         """Block coefficients (c, M, M, K) -> the block (3, M, M, K) of a
         pointwise map of their physical values, slab by slab.
 
-        ``fn(values, out)`` gets the real values (c, p, N, N) of p x1-planes
-        (:func:`slab_planes` of them, fewer in the last slab), may overwrite
-        them, and fills ``out`` (3, p, N, N). The result equals
-        ``gather(rfftn(fn(to_physical(coeffs)), norm="forward"))`` bit for
-        bit: the same 1D transforms in the same axis order, with the 1/N^3
-        factor applied after the x3 transform as pocketfft applies it. The
-        result is a new array; the workspaces make concurrent calls on one
-        grid unsafe.
+        With ``curl`` the map sees the curl of a velocity block (3, M, M, K)
+        after the velocity itself, six components in all. ``fn(part, lo,
+        values, out)`` gets the real values (c, p, N, N) of the x1-planes
+        lo..lo+p-1 (:func:`slab_planes` of them or fewer), may overwrite
+        them, and fills ``out`` (3, p, N, N). The pipeline runs in
+        :func:`pipeline_parts` halves: ``part`` names the half of a call.
+        One half's calls run in plane order on one thread, while the other
+        half's may run at the same time on another, so ``fn`` keeps per-part
+        state apart.
+
+        The result equals ``gather(rfftn(fn(to_physical(coeffs)),
+        norm="forward"))`` bit for bit, whatever the slab size or the number
+        of parts: the same 1D transforms in the same axis order, with the
+        1/N^3 factor applied after the x3 transform as pocketfft applies it.
+        The result is a new array; the workspaces make concurrent calls on
+        one grid unsafe.
         """
         n, kb = self.n, self.kb
-        lines = self._inverse_lines(coeffs)
+        lines, inverse = self._inverse_lines(coeffs, curl)
         planes = slab_planes(n)
-        slab = self.workspace("forward.slab", (3, planes, n, n), np.float64)
         spec = self.workspace("forward.k3", (3, n, n, kb))
         spec_re = spec.view(np.float64)
-        for lo in range(0, n, planes):
-            hi = min(lo + planes, n)
-            out = slab[:, :hi - lo]
-            fn(_fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS), out)
-            half = _fft.rfft(out, axis=-1, workers=FFT_WORKERS)
-            np.multiply(half[..., :kb].view(np.float64), self._fwd_scale, out=spec_re[:, lo:hi])
-        _c2c_inplace(spec, -3)
-        for rows, _ in self._halves:  # only the retained k1 rows go on to the k2 pass
-            _c2c_inplace(spec[:, rows], -2)
+
+        def slabs(part: int, rows: slice) -> None:
+            slab = self.workspace(f"forward.slab{part}", (3, planes, n, n), np.float64)
+            for lo in range(rows.start, rows.stop, planes):
+                hi = min(lo + planes, rows.stop)
+                out = slab[:, :hi - lo]
+                fn(part, lo, _fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS),
+                   out)
+                half = _fft.rfft(out, axis=-1, workers=FFT_WORKERS)
+                np.multiply(half[..., :kb].view(np.float64), self._fwd_scale, out=spec_re[:, lo:hi])
+
+        def columns(part: int, k3: slice) -> None:
+            cols = spec[..., k3]
+            _c2c_inplace(cols, -3)
+            for rows, _ in self._halves:  # only the retained k1 rows go on to the k2 pass
+                _c2c_inplace(cols[:, rows], -2)
+
+        _in_parts(pipeline_parts(n), [(kb, inverse), (n, slabs), (kb, columns)])
         out = np.empty(self.shape(3), np.complex128)
         for f1, b1 in self._halves:
             for f2, b2 in self._halves:
@@ -291,6 +363,51 @@ class WaveGrid:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WaveGrid(n={self.n}, length={self.length})"
+
+
+def _in_parts(parts: int, stages: list[tuple[int, Callable[[int, slice], None]]]) -> None:
+    """Run each stage ``(length, work)`` as ``work(part, share)`` on ``parts``
+    (1 or 2) consecutive shares of range(length), one stage after another.
+
+    Part 0 runs in the calling thread and part 1 on a thread started here
+    and joined before this returns, so no thread outlives the call. A
+    barrier after each stage keeps either part from reading what the other
+    has not yet written. The parts write shared workspaces, so on an
+    exception the barrier is broken, the other part stops by the end of
+    its stage, the caller waits for the worker, and the first exception is
+    raised here.
+
+    One thread serves every stage of a call: a thread started right after
+    another is joined can miss the malloc arena the last one is still
+    releasing and open a new one, and each arena keeps the slab buffers it
+    has freed resident.
+    """
+    if parts == 1:
+        for length, work in stages:
+            work(0, slice(0, length))
+        return
+    barrier = threading.Barrier(parts)
+    failed: list[BaseException] = []
+
+    def run(part: int) -> None:
+        try:
+            for length, work in stages:
+                work(part, slice(length * part // parts, length * (part + 1) // parts))
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # the other part failed; its exception is raised below
+        except BaseException as exc:  # re-raised in the calling thread
+            failed.append(exc)
+            barrier.abort()
+
+    worker = threading.Thread(target=run, args=(1,), name="dampedns-pipeline")
+    worker.start()
+    try:
+        run(0)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _c2c_inplace(x: np.ndarray, axis: int, inverse: bool = False) -> None:

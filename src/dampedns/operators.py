@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .grid import WaveGrid, slab_planes
+from .grid import _CYCLIC, WaveGrid, slab_planes
 from .fields import SpectralVelocity, project_coeffs
 
 __all__ = [
@@ -55,10 +55,6 @@ def leray_project(v_hat: np.ndarray, grid: WaveGrid) -> SpectralVelocity:
     return u
 
 
-# (i, j, k) cyclic: (a x b)_i = a_j b_k - a_k b_j
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
 def nonviscous_rhs(
     coeffs: np.ndarray, grid: WaveGrid, alpha: float, beta: float,
     forcing_coeffs: np.ndarray | None, *, convective: bool = True,
@@ -72,40 +68,29 @@ def nonviscous_rhs(
     integrating factor, and the first stage of a step takes its CFL step
     from the peak speed.
 
-    [u_hat, ik x u_hat] (only u_hat when ``convective`` is off) goes through
-    :meth:`WaveGrid.transform_pointwise`, which calls the pointwise force
-    below on one slab of physical values at a time. s2 = u . u feeds both
-    the damping factor and the peak speed; sqrt(max s2) is bitwise the max
-    of the pointwise speeds. Apart from the result every array is a
-    per-grid workspace.
+    :meth:`WaveGrid.transform_pointwise` transforms u_hat with its curl
+    (only u_hat when ``convective`` is off) and calls the pointwise force
+    below on one slab of physical values at a time, from one or two
+    threads. s2 = u . u feeds both the damping factor and the peak speed;
+    each half keeps its own scratch and running peak, and sqrt(max s2) is
+    bitwise the max of the pointwise speeds. Apart from the result every
+    array is a per-grid workspace.
     """
     n = grid.n
-    if convective:
-        stack = grid.workspace("rhs.stack", grid.shape(6))
-        tmp = grid.workspace("rhs.curl", grid.shape(1)[1:])
-        stack[:3] = coeffs
-        ik = grid.ikvec
-        for i, j, k in _CYCLIC:
-            np.multiply(ik[j], coeffs[k], out=stack[3 + i])
-            np.multiply(ik[k], coeffs[j], out=tmp)
-            stack[3 + i] -= tmp
-    else:
-        stack = coeffs
-    scratch = grid.workspace("rhs.scratch", (4, slab_planes(n), n, n), np.float64)
+    planes = slab_planes(n)
     expo = (beta - 1.0) / 2.0
-    peak = -math.inf
+    peaks = [-math.inf, -math.inf]
 
-    def force(values: np.ndarray, out: np.ndarray) -> None:
-        nonlocal peak
+    def force(part: int, lo: int, values: np.ndarray, out: np.ndarray) -> None:
         u = values[:3]
-        work = scratch[:, :values.shape[1]]
+        work = grid.workspace(f"rhs.scratch{part}", (4, planes, n, n), np.float64)[:, :values.shape[1]]
         s2, prod = work[0], work[1:]
         tmp = prod[0]
         np.multiply(u[0], u[0], out=s2)
         for c in (1, 2):
             np.multiply(u[c], u[c], out=tmp)
             s2 += tmp
-        peak = np.maximum(peak, s2.max())  # NaN propagates, as in a whole-grid max
+        peaks[part] = np.maximum(peaks[part], s2.max())  # NaN propagates, as in a whole-grid max
         if convective:
             w = values[3:]
             for i, j, k in _CYCLIC:
@@ -122,11 +107,11 @@ def nonviscous_rhs(
         np.multiply(fac, u, out=prod)
         out -= prod
 
-    out = grid.transform_pointwise(stack, force)
+    out = grid.transform_pointwise(coeffs, force, curl=convective)
     project_coeffs(out, grid)
     if forcing_coeffs is not None:
         out += forcing_coeffs
-    return out, math.sqrt(float(peak))
+    return out, math.sqrt(float(np.maximum(*peaks)))
 
 
 def nonlinear_term(u: SpectralVelocity) -> SpectralVelocity:

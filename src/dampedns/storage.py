@@ -50,13 +50,6 @@ def _fmt(v: float) -> str:
 # diagnostics CSV
 # ----------------------------------------------------------------------
 
-def _mark_partial(path: str | Path) -> None:
-    try:
-        Path(str(path) + ".partial").touch()
-    except OSError:
-        pass
-
-
 def write_diagnostics(records: list[DiagnosticsRecord], path: str | Path) -> None:
     """Write records as CSV; fills dEdt in place (idempotent)."""
     with DiagnosticsWriter(path) as writer:
@@ -93,27 +86,32 @@ class DiagnosticsWriter:
     A row is flushed once its successor arrives so the centered dEdt can be
     filled (in place, as :func:`fill_dEdt` would); close() flushes the final
     row with a one-sided difference.
+
+    Rows stream into ``<path>.partial`` beside the path, and only a clean
+    close() moves that file onto the path (``os.replace``), so the path
+    holds its earlier file or the complete new one, never a torn one. A
+    failed write, or leaving a ``with`` block by an exception, publishes
+    nothing and leaves the rows written so far in ``<path>.partial``.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._partial = Path(str(path) + ".partial")
         self._pending: DiagnosticsRecord | None = None
         self._written: DiagnosticsRecord | None = None
         try:
-            self._fh = open(path, "w", newline="\n")
+            self._fh = open(self._partial, "w", newline="\n")
             self._fh.write(",".join(CSV_COLUMNS) + "\n")
             self._fh.flush()
         except OSError as exc:
-            _mark_partial(path)
-            raise StorageError(f"cannot open diagnostics stream {path}: {exc}") from exc
+            raise StorageError(f"cannot open diagnostics stream {self._partial}: {exc}") from exc
 
     def _emit(self, rec: DiagnosticsRecord) -> None:
         try:
             self._fh.write(",".join(_fmt(v) for v in rec.astuple()) + "\n")
             self._fh.flush()
         except (OSError, ValueError) as exc:
-            _mark_partial(self.path)
-            raise StorageError(f"diagnostics stream {self.path} failed: {exc}") from exc
+            raise StorageError(f"diagnostics stream {self._partial} failed: {exc}") from exc
         self._written = rec
 
     def append(self, rec: DiagnosticsRecord) -> None:
@@ -124,6 +122,7 @@ class DiagnosticsWriter:
         self._pending = rec
 
     def close(self) -> None:
+        """Write the last row and replace the file at the path with the stream."""
         last, self._pending = self._pending, None
         try:
             if last is not None:
@@ -131,12 +130,19 @@ class DiagnosticsWriter:
                 self._emit(last)
         finally:
             self._fh.close()
+        try:
+            os.replace(self._partial, self.path)
+        except OSError as exc:
+            raise StorageError(f"cannot publish diagnostics {self.path}: {exc}") from exc
 
     def __enter__(self) -> "DiagnosticsWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:  # publish nothing: the rows so far stay in <path>.partial
+            self._fh.close()
 
 
 # ----------------------------------------------------------------------

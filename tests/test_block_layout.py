@@ -9,6 +9,9 @@ arithmetic on the retained modes only, slab by slab, whatever the slab size.
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ import scipy.fft as sfft
 
 import dampedns.grid as grid_module
 from dampedns import ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step
-from dampedns.grid import slab_planes
+from dampedns.grid import pipeline_parts, slab_planes
 from dampedns.operators import nonviscous_rhs
 from dampedns.timestepping import _cfl_dt
 
@@ -139,6 +142,24 @@ def set_slab(monkeypatch, n, planes):
     assert slab_planes(n) == planes
 
 
+def set_cpus(monkeypatch, cpus):
+    """Make the RHS pipeline see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(grid_module, "_usable_cpus", lambda: cpus)
+
+
+def record_threads(monkeypatch):
+    """List every thread started while the test runs."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
 def random_block(grid, comps, rng):
     shape = grid.shape(comps)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -251,15 +272,14 @@ class TestPrunedForward:
         grid = WaveGrid(n, 1.0)
         rng = np.random.default_rng(n)
         x = rng.standard_normal((3, n, n, n))
-        done = 0
+        filled = []
 
-        def fill(values, out):
-            nonlocal done
-            out[...] = x[:, done:done + out.shape[1]]
-            done += out.shape[1]
+        def fill(part, lo, values, out):
+            out[...] = x[:, lo:lo + out.shape[1]]
+            filled.extend(range(lo, lo + out.shape[1]))
 
         got = grid.transform_pointwise(random_block(grid, 3, rng), fill)
-        assert done == n
+        assert sorted(filled) == list(range(n))
         assert np.array_equal(got, grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
 
 
@@ -282,3 +302,151 @@ class TestResultsOwnTheirMemory:
         again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, None)
         assert np.array_equal(again, kept) and speed_again == speed
         assert not np.may_share_memory(again, res)
+
+
+class TestSplit:
+    """The pipeline's two halves against the full reference, and the
+    thread that runs the second half."""
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("n", [18, 32, 48, 64])  # K = 6, 11 (odd), 16, 22
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("convective", [True, False])
+    def test_rhs_bitwise(self, monkeypatch, parts, n, beta, convective):
+        """Slabs of 5 planes put seams in both halves of every grid."""
+        set_slab(monkeypatch, n, 5)
+        set_cpus(monkeypatch, parts)
+        assert pipeline_parts(n) == parts
+        started = record_threads(monkeypatch)
+        grid, u, physics = setup(n, beta)
+        f = physics.forcing.coeffs if convective else None
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
+                                 None if f is None else grid.scatter(f), convective)
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f, convective=convective)
+        assert np.array_equal(grid.scatter(got), ref)
+        assert speed == ref_speed
+        assert len(started) == parts - 1  # one worker serves all three stages
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("n, beta", [(18, 1.0), (32, 3.5), (48, 2.0), (64, 3.5)])
+    @pytest.mark.parametrize("method, adaptive", [("if-rk2", True), ("if-rk2", False), ("if-rk4", False)])
+    def test_trajectory_bitwise(self, monkeypatch, parts, n, beta, method, adaptive):
+        set_slab(monkeypatch, n, 5)
+        set_cpus(monkeypatch, parts)
+        grid, u, physics = setup(n, beta)
+        scheme = SchemeConfig(method=method, dt=0.02, adaptive=adaptive)
+        state = SolverState(0.0, u)
+        t, c = 0.0, grid.scatter(u.coeffs)
+        for _ in range(4):
+            state = step(state, scheme, physics)
+            t, c = ref_step(t, c, grid, scheme, physics)
+            assert state.t == t
+            assert np.array_equal(grid.scatter(state.u.coeffs), c)
+
+    def test_nan_in_second_half_gives_nan_speed(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        grid, u, physics = setup(64, 3.5)
+        assert pipeline_parts(64) == 2
+        poisoned = []
+        transform = WaveGrid.transform_pointwise
+
+        def poisoning(self, coeffs, fn, **kw):
+            def fn_with_nan(part, lo, values, out):
+                if lo == self.n - slab_planes(self.n):  # the last slab, in the second half
+                    assert part == 1
+                    values[1, -1, 7, 9] = np.nan
+                    poisoned.append(lo)
+                fn(part, lo, values, out)
+            return transform(self, coeffs, fn_with_nan, **kw)
+
+        monkeypatch.setattr(WaveGrid, "transform_pointwise", poisoning)
+        speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, None)[1]
+        assert poisoned and math.isnan(speed)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_exception_waits_for_both_halves(self, monkeypatch, failing):
+        """The part that does not fail is slowed down, so an exception that
+        left before joining it would find one of its slabs in progress."""
+        set_slab(monkeypatch, 48, 6)  # 4 slabs per half
+        set_cpus(monkeypatch, 2)
+        started = record_threads(monkeypatch)
+        grid, u, physics = setup(48, 2.0)
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, 2.0,
+                                 grid.scatter(physics.forcing.coeffs))
+        running, finished = [], []
+        transform = WaveGrid.transform_pointwise
+
+        def failing_fn(self, coeffs, fn, **kw):
+            def fn_or_fail(part, lo, values, out):
+                if part == failing:
+                    raise ZeroDivisionError(f"part {part}")
+                running.append(lo)
+                time.sleep(0.01)
+                fn(part, lo, values, out)
+                running.remove(lo)
+                finished.append(lo)
+            return transform(self, coeffs, fn_or_fail, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WaveGrid, "transform_pointwise", failing_fn)
+            with pytest.raises(ZeroDivisionError, match=f"part {failing}"):
+                nonviscous_rhs(u.coeffs, grid, physics.alpha, 2.0, physics.forcing.coeffs)
+            assert running == []
+            assert not any(t.is_alive() for t in started)
+            done = list(finished)
+            time.sleep(0.05)
+            assert finished == done  # and it did not go on afterwards
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 2.0, physics.forcing.coeffs)
+        assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        started = record_threads(monkeypatch)
+        in_parts = grid_module._in_parts
+        calls = []
+
+        def checked(parts, stages):
+            in_parts(parts, stages)
+            calls.append((parts, len(stages)))
+            assert started and not any(t.is_alive() for t in started)
+
+        monkeypatch.setattr(grid_module, "_in_parts", checked)
+        grid, u, physics = setup(64, 3.5)
+        nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
+        grid.to_physical(u.coeffs)
+        assert calls == [(2, 3), (2, 1)] and len(started) == 2
+
+    @pytest.mark.parametrize("n, cpus", [(64, 1), (32, 2), (16, 2)])
+    def test_one_part_starts_no_thread(self, monkeypatch, n, cpus):
+        """One usable CPU, or a grid that fits in one slab, runs the pipeline
+        in the calling thread alone."""
+        set_cpus(monkeypatch, cpus)
+        assert pipeline_parts(n) == 1
+        started = record_threads(monkeypatch)
+        grid, u, physics = setup(n, 3.5)
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, 3.5,
+                                 grid.scatter(physics.forcing.coeffs))
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
+        grid.to_physical(u.coeffs)
+        assert started == []
+        assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
+
+    def test_repeated_calls_under_frequent_thread_switches(self, monkeypatch):
+        """The halves share workspaces; a switch at any bytecode must not
+        let one half read what the other is writing."""
+        set_slab(monkeypatch, 48, 3)
+        set_cpus(monkeypatch, 2)
+        grid, u, physics = setup(48, 3.5)
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, 3.5,
+                                 grid.scatter(physics.forcing.coeffs))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 5.0
+            for _ in range(8):
+                got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
+                assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(interval)

@@ -27,7 +27,7 @@ from dampedns import (
     write_snapshot,
 )
 from dampedns import storage
-from dampedns.diagnostics import DiagnosticsRecord
+from dampedns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from dampedns.storage import check_restart_compatible, read_snapshot_header
 
 V1_FIXTURE = Path(__file__).parent / "data" / "v1-n8.snap"
@@ -123,6 +123,33 @@ class TestDiagnosticsCSV:
             w.append(recs[1])
             w.append(recs[2])
         assert (tmp_path / "d.csv.partial").exists()
+
+    def test_write_failure_leaves_earlier_csv_untouched(self, tmp_path):
+        _, _, _, _, recs = small_run()
+        path = tmp_path / "d.csv"
+        write_diagnostics(recs[:2], path)
+        earlier = path.read_bytes()
+        w = DiagnosticsWriter(path)
+        w.append(recs[0])
+        w._fh.close()  # force the next row write to fail
+        with pytest.raises(StorageError):
+            w.append(recs[1])
+            w.append(recs[2])
+        assert path.read_bytes() == earlier
+        assert (tmp_path / "d.csv.partial").exists()
+
+    def test_exception_in_with_block_publishes_nothing(self, tmp_path):
+        _, _, _, _, recs = small_run()
+        path = tmp_path / "d.csv"
+        with pytest.raises(ZeroDivisionError):
+            with DiagnosticsWriter(path) as w:
+                for r in recs:
+                    w.append(r)
+                1 / 0
+        assert not path.exists()
+        assert (tmp_path / "d.csv.partial").read_text().startswith(",".join(CSV_COLUMNS))
+        write_diagnostics(recs, path)  # a clean close publishes and leaves no marker
+        assert read_diagnostics(path) and not (tmp_path / "d.csv.partial").exists()
 
 
 class TestSnapshots:

@@ -318,19 +318,20 @@ class TestTransformCount:
         def components(arr):
             return arr.shape[0] if arr.ndim == 4 else 1
 
-        def counting(name, inverse, forward):
+        def counting(name, kind):
             orig = getattr(WaveGrid, name)
 
-            def wrapped(self, arr, *rest):
-                res = orig(self, arr, *rest)
-                counts["inverse"] += inverse * components(arr)
-                counts["forward"] += forward * components(res)
+            def wrapped(self, *args, **kwargs):
+                res = orig(self, *args, **kwargs)
+                counts[kind] += components(res[0] if kind == "inverse" else res)
                 return res
             return wrapped
 
-        # the RHS kernel transforms both ways in one call of the slab pipeline
-        for name, inverse, forward in [("transform_pointwise", 1, 1), ("to_physical", 1, 0),
-                                       ("to_spectral", 0, 1)]:
-            monkeypatch.setattr(WaveGrid, name, counting(name, inverse, forward))
+        # every inverse, that of the RHS pipeline (which forms the curl inside)
+        # included, runs in the workspace _inverse_lines returns, which holds
+        # the components it transforms
+        for name, kind in [("_inverse_lines", "inverse"), ("transform_pointwise", "forward"),
+                           ("to_spectral", "forward")]:
+            monkeypatch.setattr(WaveGrid, name, counting(name, kind))
         step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=adaptive), ph)
         assert counts == {"inverse": 12, "forward": 6}
