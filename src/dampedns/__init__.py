@@ -27,13 +27,7 @@ from .timestepping import (
     integrate,
     step,
 )
-from .diagnostics import (
-    DiagnosticsLog,
-    DiagnosticsRecord,
-    energy_balance_residual,
-    fill_dEdt,
-    record,
-)
+from .diagnostics import DiagnosticsRecord, energy_balance_residual, record
 from .bounds import (
     BoundReport,
     NotApplicable,

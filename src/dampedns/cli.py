@@ -45,8 +45,8 @@ from .config import (
 )
 from .diagnostics import record
 from .experiments import check_separation, check_sweep, run_convergence_speed_sweep, run_trajectory_separation
-from .storage import (DiagnosticsWriter, StorageError, check_restart_compatible, read_diagnostics,
-                      read_snapshot, write_snapshot)
+from .storage import (DiagnosticsWriter, StorageError, check_restart_compatible, make_output_dir,
+                      read_diagnostics, read_snapshot, write_atomic, write_snapshot)
 from .timestepping import Observer, SolverError, integrate
 
 __all__ = ["main", "console_entry"]
@@ -81,8 +81,7 @@ def _run_one(cfg: RunConfig, restart: str | None = None):
     else:
         state = build_state(cfg, grid)
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(cfg.output_dir)
     csv_path = out_dir / f"{cfg.run_id}.csv"
     with DiagnosticsWriter(csv_path) as writer:  # published only if the run completes
         observers = [Observer(cfg.diag_stride, lambda st: writer.append(record(st.u, st.t, physics)))]
@@ -164,25 +163,24 @@ def _cmd_sweep(args) -> int:
 def _cmd_separate(args) -> int:
     base = load_preset("cylinder-a02-b1")
     with checked("separate"):
-        scheme = replace(base.scheme, dt=args.dt, adaptive=False)
+        scheme = replace(base.scheme, dt=args.dt)
         cfg = replace(
             base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme,
             initial=replace(base.initial, kind="random", seed=args.seed, energy=args.energy),
         )
         check_separation(args.deltas, stride=args.stride, max_t=args.t)
+    out = make_output_dir(args.out) if args.out else None
     result = run_trajectory_separation(cfg, args.deltas, max_t=args.t, stride=args.stride,
                                        perturb_seed=args.perturb_seed)
     for run in result.runs:
         _emit({"delta": run.delta, "max_ratio": run.ratio, "growth_rate": run.growth_rate})
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         curves = out / "separation.csv"
-        with open(curves, "w", newline="\n") as fh:
-            fh.write("t," + ",".join(f"d_{r.delta:g}" for r in result.runs) + "\n")
-            for i, t in enumerate(result.runs[0].times):
-                row = [format(t, ".17g")] + [format(r.distances[i], ".17g") for r in result.runs]
-                fh.write(",".join(row) + "\n")
+        lines = ["t," + ",".join(f"d_{r.delta:g}" for r in result.runs) + "\n"]
+        for i, t in enumerate(result.runs[0].times):
+            row = [t] + [r.distances[i] for r in result.runs]
+            lines.append(",".join(format(v, ".17g") for v in row) + "\n")
+        write_atomic(curves, "separation curves", "".join(lines).encode())
         _emit({"separation_curves": str(curves)})
     _emit({
         "command": "separate",

@@ -15,18 +15,14 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .fields import SpectralVelocity, h_inner, h_norm_sq
-from .timestepping import Physics, SolverState, Observer
+from .timestepping import Physics
 
 __all__ = [
     "DiagnosticsRecord",
     "CSV_COLUMNS",
     "record",
-    "fill_dEdt",
-    "DiagnosticsLog",
     "energy_balance_residual",
 ]
-
-CSV_COLUMNS = ("t", "E", "V2", "Lbp", "A2", "P_f", "P_damp", "dEdt", "umax")
 
 
 @dataclass
@@ -52,9 +48,12 @@ class DiagnosticsRecord:
         return tuple(getattr(self, f.name) for f in dc_fields(self))
 
 
+CSV_COLUMNS = tuple(f.name for f in dc_fields(DiagnosticsRecord))
+
+
 def record(u: SpectralVelocity, t: float, physics: Physics) -> DiagnosticsRecord:
     """Measure one state. dEdt is a series quantity and starts at NaN;
-    :func:`fill_dEdt` (or the log / CSV writer) fills it once neighbours
+    :class:`~dampedns.storage.DiagnosticsWriter` fills it once neighbours
     are known."""
     grid = u.grid
     c = u.coeffs
@@ -86,42 +85,6 @@ def record(u: SpectralVelocity, t: float, physics: Physics) -> DiagnosticsRecord
 def _dEdt(before: DiagnosticsRecord, after: DiagnosticsRecord) -> float:
     """dE/dt between two records: the one stencil of every dE/dt in the package."""
     return (after.E - before.E) / (after.t - before.t)
-
-
-def fill_dEdt(records: list[DiagnosticsRecord]) -> list[DiagnosticsRecord]:
-    """Fill dEdt in place: centered differences in the interior, one-sided
-    at the ends, zero for a single record. Idempotent. Returns the list."""
-    n = len(records)
-    if n == 0:
-        return records
-    if n == 1:
-        records[0].dEdt = 0.0
-        return records
-    records[0].dEdt = _dEdt(records[0], records[1])
-    records[-1].dEdt = _dEdt(records[-2], records[-1])
-    for i in range(1, n - 1):
-        records[i].dEdt = _dEdt(records[i - 1], records[i + 1])
-    return records
-
-
-class DiagnosticsLog:
-    """Accumulates records from an integration run.
-
-    Use ``observer(stride)`` to plug into :func:`dampedns.timestepping.integrate`.
-    """
-
-    def __init__(self, physics: Physics):
-        self.physics = physics
-        self.records: list[DiagnosticsRecord] = []
-
-    def capture(self, state: SolverState) -> None:
-        self.records.append(record(state.u, state.t, self.physics))
-
-    def observer(self, stride: int) -> Observer:
-        return Observer(stride, self.capture)
-
-    def finalized(self) -> list[DiagnosticsRecord]:
-        return fill_dEdt(self.records)
 
 
 def energy_balance_residual(

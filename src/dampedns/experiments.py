@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .config import RunConfig, InitialSpec, build_grid, build_physics, build_sta
 from .diagnostics import record
 from .fields import SpectralVelocity, h_norm_sq, make_initial_condition
 from .operators import check_physics
+from .storage import make_output_dir, write_snapshot
 from .timestepping import Physics, SchemeConfig, SolverState, integrate
 
 __all__ = [
@@ -260,13 +260,15 @@ def run_convergence_speed_sweep(
 
     Cells are independent; a blow-up propagates with the offending pair
     attached. Final states stay on the returned cells and are additionally
-    written to ``snapshot_dir`` (one file per cell) when it is set.
+    written to ``snapshot_dir`` (one file per cell) when it is set; the
+    directory is created before the first cell.
 
     Verdicts are observational: per beta, whether T_c is non-increasing as
     alpha grows; per alpha, whether T_c is non-increasing as beta grows.
     Non-converged cells count as slower than any converged one.
     """
     check_sweep(alphas, betas, stride=stride, steady_tol=steady_tol, max_t=max_t)
+    out = None if snapshot_dir is None else make_output_dir(snapshot_dir)
     cells: list[SteadyCell] = []
     for alpha in alphas:
         for beta in betas:
@@ -276,11 +278,7 @@ def run_convergence_speed_sweep(
             except Exception as exc:
                 raise RuntimeError(f"steady-state cell alpha={alpha}, beta={beta} failed: {exc}") from exc
             snap_path = None
-            if snapshot_dir is not None:
-                from .storage import write_snapshot
-
-                out = Path(snapshot_dir)
-                out.mkdir(parents=True, exist_ok=True)
+            if out is not None:
                 snap_path = str(out / f"{cfg.run_id}-a{alpha:g}-b{beta:g}.snap")
                 write_snapshot(run.state, physics, snap_path)
             final = record(run.state.u, run.state.t, physics)

@@ -286,11 +286,12 @@ class WaveGrid:
 
         The transform is pruned (:meth:`_inverse_lines`, then ``irfft``
         along k3) and bitwise equal to ``irfftn`` of the scattered block,
-        which runs the same 1D transforms in the same axis order. The
-        per-grid workspaces make concurrent calls on one grid unsafe.
+        which runs the same 1D transforms in the same axis order. It runs
+        in the calling thread alone, on any grid. The per-grid workspaces
+        make concurrent calls on one grid unsafe.
         """
         lines, inverse = self._inverse_lines(coeffs)
-        _in_parts(pipeline_parts(self.n), [(self.kb, inverse)])
+        inverse(0, slice(0, self.kb))
         return _fft.irfft(lines, n=self.n, axis=-1, norm="forward", workers=FFT_WORKERS)
 
     def transform_pointwise(
@@ -340,11 +341,7 @@ class WaveGrid:
                 _c2c_inplace(cols[:, rows], -2)
 
         _in_parts(pipeline_parts(n), [(kb, inverse), (n, slabs), (kb, columns)])
-        out = np.empty(self.shape(3), np.complex128)
-        for f1, b1 in self._halves:
-            for f2, b2 in self._halves:
-                out[:, b1, b2] = spec[:, f1, f2]
-        return out
+        return self.gather(spec)
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real collocation values -> their retained block (batched over leading axes)."""

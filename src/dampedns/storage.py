@@ -25,6 +25,8 @@ from .timestepping import Physics, SolverState
 
 __all__ = [
     "StorageError",
+    "make_output_dir",
+    "write_atomic",
     "write_diagnostics",
     "read_diagnostics",
     "DiagnosticsWriter",
@@ -46,12 +48,39 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def make_output_dir(path: str | Path) -> Path:
+    """Create the output directory ``path`` with its parents, before any work
+    is spent on what will be written there. Returns it as a Path."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StorageError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
+def write_atomic(path: str | Path, what: str, *chunks: bytes) -> None:
+    """Write ``chunks`` to ``path`` through a hidden temporary file beside it
+    and ``os.replace``: a failed write leaves the earlier file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise StorageError(f"{what} write to {path} failed: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 # diagnostics CSV
 # ----------------------------------------------------------------------
 
 def write_diagnostics(records: list[DiagnosticsRecord], path: str | Path) -> None:
-    """Write records as CSV; fills dEdt in place (idempotent)."""
+    """Write records as CSV through :class:`DiagnosticsWriter`, which fills
+    their dEdt in place (idempotent)."""
     with DiagnosticsWriter(path) as writer:
         for r in records:
             writer.append(r)
@@ -83,9 +112,10 @@ def read_diagnostics(path: str | Path) -> list[DiagnosticsRecord]:
 class DiagnosticsWriter:
     """One-record-lag streaming writer: the only code that writes a diagnostics CSV.
 
-    A row is flushed once its successor arrives so the centered dEdt can be
-    filled (in place, as :func:`fill_dEdt` would); close() flushes the final
-    row with a one-sided difference.
+    It holds the package's only dE/dt end rules. A row is flushed once its
+    successor arrives, with dEdt filled in place: centered in the interior,
+    one-sided for the first row. close() flushes the last row with a
+    one-sided difference, or 0 when it is the only row.
 
     Rows stream into ``<path>.partial`` beside the path, and only a clean
     close() moves that file onto the path (``os.replace``), so the path
@@ -207,16 +237,7 @@ def write_snapshot(state: SolverState, physics: Physics, path: str | Path) -> No
         state.step_count, state.last_dt,
         flat.size, zlib.crc32(blob),
     )
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise StorageError(f"snapshot write to {path} failed: {exc}") from exc
+    write_atomic(path, "snapshot", header, blob)
 
 
 def read_snapshot_header(path: str | Path) -> SnapshotHeader:

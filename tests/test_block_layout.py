@@ -414,7 +414,7 @@ class TestSplit:
         grid, u, physics = setup(64, 3.5)
         nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
-        assert calls == [(2, 3), (2, 1)] and len(started) == 2
+        assert calls == [(2, 3)] and len(started) == 1
 
     @pytest.mark.parametrize("n, cpus", [(64, 1), (32, 2), (16, 2)])
     def test_one_part_starts_no_thread(self, monkeypatch, n, cpus):

@@ -278,3 +278,37 @@ class TestSeparateCommand:
         curves = (tmp_path / "separation.csv").read_text().splitlines()
         assert curves[0] == "t,d_0.01,d_0.001"
         assert len(curves) == 4  # header + t in {0, 0.25, 0.5}
+
+
+class TestOutputPath:
+    """An output path below a regular file is refused with one error line
+    before any step, and no result row is printed."""
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep", "separate"])
+    def test_unusable_output_path_exits_1_before_any_step(self, capsys, tmp_path, monkeypatch, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+
+        def integrate(*a, **k):
+            raise AssertionError(f"{command} stepped before refusing its output path")
+        monkeypatch.setattr("dampedns.cli.integrate", integrate)
+        monkeypatch.setattr("dampedns.experiments.integrate", integrate)
+
+        if command in ("run", "verify"):
+            cfg = tmp_path / "quick.cfg"
+            cfg.write_text(QUICK_CONFIG + f"output_dir = {out}\n")
+            argv = [command, str(cfg)]
+        elif command == "sweep":
+            argv = ["sweep", "--n", "8", "--alphas", "0.2", "--betas", "1", "--max-t", "1",
+                    "--stride", "0.5", "--out", str(out)]
+        else:
+            argv = ["separate", "--n", "8", "--t", "0.5", "--dt", "0.025", "--stride", "0.25",
+                    "--deltas", "1e-2,1e-3", "--beta", "4", "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot create output directory {out}: ")
+        assert blocker.read_text() == ""

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from dampedns import (
-    DiagnosticsLog,
+    DiagnosticsWriter,
     ForcingField,
+    Observer,
     Physics,
     SchemeConfig,
     SolverState,
     WaveGrid,
     energy_balance_residual,
-    fill_dEdt,
     integrate,
     make_initial_condition,
+    read_diagnostics,
     record,
     step,
+    write_diagnostics,
 )
 from dampedns.diagnostics import DiagnosticsRecord
 
@@ -112,21 +114,28 @@ class TestRecord:
 
 
 class TestFillDEdt:
+    """The dE/dt end rules, which only the CSV writer applies."""
+
     def rec(self, t, e):
         return DiagnosticsRecord(t=t, E=e, V2=0, Lbp=0, A2=0, P_f=0, P_damp=0,
                                  dEdt=math.nan, umax=0)
 
-    def test_singleton_is_zero(self):
-        rs = fill_dEdt([self.rec(0.0, 5.0)])
+    def written(self, tmp_path, records):
+        path = tmp_path / "d.csv"
+        write_diagnostics(records, path)
+        return read_diagnostics(path)
+
+    def test_singleton_is_zero(self, tmp_path):
+        rs = self.written(tmp_path, [self.rec(0.0, 5.0)])
         assert rs[0].dEdt == 0.0
 
-    def test_pair_one_sided(self):
-        rs = fill_dEdt([self.rec(0.0, 1.0), self.rec(0.5, 2.0)])
+    def test_pair_one_sided(self, tmp_path):
+        rs = self.written(tmp_path, [self.rec(0.0, 1.0), self.rec(0.5, 2.0)])
         assert rs[0].dEdt == pytest.approx(2.0)
         assert rs[1].dEdt == pytest.approx(2.0)
 
-    def test_interior_centered(self):
-        rs = fill_dEdt([self.rec(0.0, 0.0), self.rec(1.0, 1.0), self.rec(2.0, 4.0)])
+    def test_interior_centered(self, tmp_path):
+        rs = self.written(tmp_path, [self.rec(0.0, 0.0), self.rec(1.0, 1.0), self.rec(2.0, 4.0)])
         assert rs[1].dEdt == pytest.approx(2.0)  # (4 - 0) / 2
         assert rs[0].dEdt == pytest.approx(1.0)
         assert rs[2].dEdt == pytest.approx(3.0)
@@ -189,14 +198,15 @@ class TestEnergyBalanceResidual:
 
 
 class TestLog:
-    def test_log_observer_collects_and_finalizes(self):
+    def test_log_observer_collects_and_finalizes(self, tmp_path):
         g = WaveGrid(8, 2 * np.pi)
         ph = physics_for(g)
         sc = SchemeConfig(dt=0.01, adaptive=False)
-        log = DiagnosticsLog(ph)
+        path = tmp_path / "d.csv"
         st = SolverState(0.0, make_initial_condition(g, "shear", amplitude=1.0))
-        integrate(st, 0.1, sc, ph, [log.observer(5)])
-        recs = log.finalized()
+        with DiagnosticsWriter(path) as writer:
+            integrate(st, 0.1, sc, ph, [Observer(5, lambda s: writer.append(record(s.u, s.t, ph)))])
+        recs = read_diagnostics(path)
         assert [round(r.t, 10) for r in recs] == [0.0, 0.05, 0.1]
         assert all(math.isfinite(r.dEdt) for r in recs)
         assert recs[1].dEdt == pytest.approx((recs[2].E - recs[0].E) / (recs[2].t - recs[0].t))

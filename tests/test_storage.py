@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from dampedns import (
-    DiagnosticsLog,
     DiagnosticsWriter,
     ForcingField,
     Observer,
@@ -49,9 +48,9 @@ def small_run(n=8, seed=1, t_end=0.2, dt=0.01, stride=2):
     ph = Physics(mu=0.2, alpha=0.5, beta=3.0, forcing=f)
     sc = SchemeConfig(dt=dt, adaptive=False)
     st = SolverState(0.0, make_initial_condition(g, "random", seed=seed, energy=1.0))
-    log = DiagnosticsLog(ph)
-    st = integrate(st, t_end, sc, ph, [log.observer(stride)])
-    return g, ph, sc, st, log.finalized()
+    recs = []
+    st = integrate(st, t_end, sc, ph, [Observer(stride, lambda s: recs.append(record(s.u, s.t, ph)))])
+    return g, ph, sc, st, recs
 
 
 class TestDiagnosticsCSV:
@@ -292,18 +291,16 @@ class TestRestartEquivalence:
         sc = SchemeConfig(dt=0.01, dt_max=0.02, adaptive=adaptive)
         t_half, t_end, stride = 0.3, 0.6, 5
 
-        def observer_pair(log, writer):
-            return [log.observer(stride),
-                    Observer(stride, lambda st: writer.append(record(st.u, st.t, ph)))]
+        def observers(writer):
+            return [Observer(stride, lambda st: writer.append(record(st.u, st.t, ph)))]
 
         # uninterrupted run, snapshot taken mid-flight
         st = SolverState(0.0, make_initial_condition(g, "random", seed=2, energy=1.0))
-        log_a = DiagnosticsLog(ph)
         wa = DiagnosticsWriter(tmp_path / "a.csv")
         snap = tmp_path / "mid.snap"
         mid_obs = Observer(1, lambda s: write_snapshot(s, ph, snap) if s.t == t_half else None)
-        st_mid = integrate(st, t_half, sc, ph, observer_pair(log_a, wa) + [mid_obs])
-        st_end = integrate(st_mid, t_end, sc, ph, observer_pair(log_a, wa))
+        st_mid = integrate(st, t_half, sc, ph, observers(wa) + [mid_obs])
+        st_end = integrate(st_mid, t_end, sc, ph, observers(wa))
         wa.close()
 
         # restarted run
@@ -311,8 +308,7 @@ class TestRestartEquivalence:
         check_restart_compatible(header, g, ph)
         assert np.array_equal(st_re.u.coeffs, st_mid.u.coeffs)
         wb = DiagnosticsWriter(tmp_path / "b.csv")
-        log_b = DiagnosticsLog(ph)
-        st_re_end = integrate(st_re, t_end, sc, ph, observer_pair(log_b, wb))
+        st_re_end = integrate(st_re, t_end, sc, ph, observers(wb))
         wb.close()
 
         assert np.array_equal(st_re_end.u.coeffs, st_end.u.coeffs)
