@@ -16,7 +16,6 @@ from .fields import (
     h_norm_sq,
     make_initial_condition,
 )
-from .operators import damping_term, leray_project, nonlinear_term
 from .timestepping import (
     BlowUpError,
     Observer,

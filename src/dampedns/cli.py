@@ -44,7 +44,8 @@ from .config import (
     preset_text,
 )
 from .diagnostics import record
-from .experiments import check_separation, check_sweep, run_convergence_speed_sweep, run_trajectory_separation
+from .experiments import (check_separation, check_separation_regime, check_sweep, run_convergence_speed_sweep,
+                          run_trajectory_separation)
 from .storage import (DiagnosticsWriter, StorageError, check_restart_compatible, make_output_dir,
                       read_diagnostics, read_snapshot, write_atomic, write_snapshot)
 from .timestepping import Observer, SolverError, integrate
@@ -145,7 +146,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     base = load_preset("cylinder-a02-b1")
     with checked("sweep"):
-        scheme = replace(base.scheme, dt_max=args.dt_max)
+        # an adaptive step never reads dt; it only has to lie within [dt_min, dt_max]
+        scheme = replace(base.scheme, dt=min(base.scheme.dt, args.dt_max), dt_max=args.dt_max)
         cfg = replace(base, n=args.n, mu=args.mu, scheme=scheme, output_dir=args.out)
         steady = dict(stride=args.stride, steady_tol=args.steady_tol, max_t=args.max_t)
         check_sweep(args.alphas, args.betas, **steady)
@@ -163,12 +165,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_separate(args) -> int:
     base = load_preset("cylinder-a02-b1")
     with checked("separate"):
-        scheme = replace(base.scheme, dt=args.dt)
+        # a fixed step never reads dt_max; it only has to bound dt
+        scheme = replace(base.scheme, dt=args.dt, dt_max=max(base.scheme.dt_max, args.dt))
         cfg = replace(
             base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme,
             initial=replace(base.initial, kind="random", seed=args.seed, energy=args.energy),
         )
         check_separation(args.deltas, stride=args.stride, max_t=args.t)
+    check_separation_regime(cfg)
     out = make_output_dir(args.out) if args.out else None
     result = run_trajectory_separation(cfg, args.deltas, max_t=args.t, stride=args.stride,
                                        perturb_seed=args.perturb_seed)

@@ -20,7 +20,7 @@ from .diagnostics import record
 from .fields import SpectralVelocity, h_norm_sq, make_initial_condition
 from .operators import check_physics
 from .storage import make_output_dir, write_snapshot
-from .timestepping import Physics, SchemeConfig, SolverState, integrate
+from .timestepping import Physics, SchemeConfig, SolverError, SolverState, integrate
 
 __all__ = [
     "DEFAULT_IC_PAIR",
@@ -33,6 +33,7 @@ __all__ = [
     "check_steady",
     "check_sweep",
     "check_separation",
+    "check_separation_regime",
     "stride_count",
     "detect_steady_state",
     "run_to_steady",
@@ -100,6 +101,15 @@ def check_separation(deltas, *, stride: float, max_t: float) -> None:
     if not stride_count(max_t, stride)[1]:
         raise ValueError(
             f"trajectory separation needs a horizon of whole strides, got max_t={max_t}, stride={stride}"
+        )
+
+
+def check_separation_regime(config: RunConfig) -> None:
+    """Raise RegimeError unless ``config`` lies in the uniqueness regime."""
+    if not in_uniqueness_regime(config.mu, config.alpha, config.beta):
+        raise RegimeError(
+            f"trajectory separation requires {REGIME_BY_CHECK['trajectory_separation']}; "
+            f"got mu={config.mu}, alpha={config.alpha}, beta={config.beta}"
         )
 
 
@@ -258,10 +268,11 @@ def run_convergence_speed_sweep(
     """Run every (alpha, beta) cell of ``config`` to steadiness, then judge
     how the convergence time T_c moves along each axis.
 
-    Cells are independent; a blow-up propagates with the offending pair
-    attached. Final states stay on the returned cells and are additionally
-    written to ``snapshot_dir`` (one file per cell) when it is set; the
-    directory is created before the first cell.
+    Cells are independent; a cell's SolverError (a blow-up, say) propagates
+    as a SolverError that names the offending pair. Final states stay on
+    the returned cells and are additionally written to ``snapshot_dir``
+    (one file per cell) when it is set; the directory is created before
+    the first cell.
 
     Verdicts are observational: per beta, whether T_c is non-increasing as
     alpha grows; per alpha, whether T_c is non-increasing as beta grows.
@@ -275,8 +286,8 @@ def run_convergence_speed_sweep(
             cfg = replace(config, alpha=alpha, beta=beta)
             try:
                 physics, run = _config_to_steady(cfg, stride=stride, steady_tol=steady_tol, max_t=max_t)
-            except Exception as exc:
-                raise RuntimeError(f"steady-state cell alpha={alpha}, beta={beta} failed: {exc}") from exc
+            except SolverError as exc:
+                raise SolverError(f"steady-state cell alpha={alpha}, beta={beta} failed: {exc}") from exc
             snap_path = None
             if out is not None:
                 snap_path = str(out / f"{cfg.run_id}-a{alpha:g}-b{beta:g}.snap")
@@ -376,11 +387,7 @@ def run_trajectory_separation(
     linearly with the perturbation.
     """
     check_separation(deltas, stride=stride, max_t=max_t)
-    if not in_uniqueness_regime(config.mu, config.alpha, config.beta):
-        raise RegimeError(
-            f"trajectory separation requires {REGIME_BY_CHECK['trajectory_separation']}; "
-            f"got mu={config.mu}, alpha={config.alpha}, beta={config.beta}"
-        )
+    check_separation_regime(config)
     # lockstep comparison needs a shared dt sequence: force the fixed step
     scheme = replace(config.scheme, adaptive=False)
     grid = build_grid(config)

@@ -17,17 +17,17 @@ between the two layouts: :meth:`WaveGrid.to_spectral` gathers the block of
 an ``rfftn``.
 
 :meth:`WaveGrid.transform_pointwise` is the pseudo-spectral pipeline of the
-right-hand side: block coefficients -> physical values -> a pointwise map ->
-the block of the map's coefficients. It shares the c2c passes of the pruned
-inverse with :meth:`WaveGrid.to_physical` (k1 on the M retained k2
-columns, then k2 on the K retained k3 columns), then works through the grid
-in slabs of x1-planes (:data:`SLAB_BYTES`): per slab an ``irfft`` along k3,
-the pointwise map, and an ``rfft`` along x3 of which only the K retained
-columns are kept. The forward c2c passes then run along x1 on those columns
-and along x2 on the M retained k1 rows only. Every 1D transform is one that
-``irfftn``/``rfftn`` would run on the same line, so the block equals the
-half-spectrum path bit for bit. Workspaces are kept per grid and allocated
-on first use.
+right-hand side: a velocity block -> physical velocity and curl -> a
+pointwise map -> the block of the map's coefficients. It shares the c2c
+passes of the pruned inverse with :meth:`WaveGrid.to_physical` (k1 on the M
+retained k2 columns, then k2 on the K retained k3 columns), then works
+through the grid in slabs of x1-planes (:data:`SLAB_BYTES`): per slab an
+``irfft`` along k3, the pointwise map, and an ``rfft`` along x3 of which
+only the K retained columns are kept. The forward c2c passes then run along
+x1 on those columns and along x2 on the M retained k1 rows only. Every 1D
+transform is one that ``irfftn``/``rfftn`` would run on the same line, so
+the block equals the half-spectrum path bit for bit. Workspaces are kept
+per grid and allocated on first use.
 
 Once the grid outgrows one slab and the process may run on two CPUs
 (:func:`pipeline_parts`), each of the three stages runs in two halves of
@@ -296,22 +296,19 @@ class WaveGrid:
 
     def transform_pointwise(
         self, coeffs: np.ndarray, fn: Callable[[int, int, np.ndarray, np.ndarray], None],
-        *, curl: bool = False,
     ) -> np.ndarray:
-        """Block coefficients (c, M, M, K) -> the block (3, M, M, K) of a
-        pointwise map of their physical values, slab by slab.
+        """Velocity block (3, M, M, K) -> the block (3, M, M, K) of a
+        pointwise map of the velocity and its curl, slab by slab.
 
-        With ``curl`` the map sees the curl of a velocity block (3, M, M, K)
-        after the velocity itself, six components in all. ``fn(part, lo,
-        values, out)`` gets the real values (c, p, N, N) of the x1-planes
-        lo..lo+p-1 (:func:`slab_planes` of them or fewer), may overwrite
-        them, and fills ``out`` (3, p, N, N). The pipeline runs in
-        :func:`pipeline_parts` halves: ``part`` names the half of a call.
-        One half's calls run in plane order on one thread, while the other
-        half's may run at the same time on another, so ``fn`` keeps per-part
-        state apart.
+        ``fn(part, lo, values, out)`` gets the real values (6, p, N, N) of
+        the x1-planes lo..lo+p-1 (:func:`slab_planes` of them or fewer), the
+        velocity and then its curl, may overwrite them, and fills ``out``
+        (3, p, N, N). The pipeline runs in :func:`pipeline_parts` halves:
+        ``part`` names the half of a call. One half's calls run in plane
+        order on one thread, while the other half's may run at the same time
+        on another, so ``fn`` keeps per-part state apart.
 
-        The result equals ``gather(rfftn(fn(to_physical(coeffs)),
+        The result equals ``gather(rfftn(fn(irfftn(scatter([c, ik x c]))),
         norm="forward"))`` bit for bit, whatever the slab size or the number
         of parts: the same 1D transforms in the same axis order, with the
         1/N^3 factor applied after the x3 transform as pocketfft applies it.
@@ -319,7 +316,7 @@ class WaveGrid:
         one grid unsafe.
         """
         n, kb = self.n, self.kb
-        lines, inverse = self._inverse_lines(coeffs, curl)
+        lines, inverse = self._inverse_lines(coeffs, curl=True)
         planes = slab_planes(n)
         spec = self.workspace("forward.k3", (3, n, n, kb))
         spec_re = spec.view(np.float64)

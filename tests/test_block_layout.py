@@ -62,25 +62,23 @@ def ref_project(c, grid):
     return c
 
 
-def ref_rhs(c, grid, alpha, beta, f, convective=True):
+def ref_rhs(c, grid, alpha, beta, f):
     n, full = grid.n, Full(grid)
-    stack = np.empty(full.shape(6 if convective else 3), np.complex128)
+    stack = np.empty(full.shape(6), np.complex128)
     stack[:3] = c
     ik = 1j * full.kvec
-    if convective:
-        for i, j, k in _CYCLIC:
-            np.multiply(ik[j], c[k], out=stack[3 + i])
-            stack[3 + i] -= ik[k] * c[j]
+    for i, j, k in _CYCLIC:
+        np.multiply(ik[j], c[k], out=stack[3 + i])
+        stack[3 + i] -= ik[k] * c[j]
     phys = sfft.irfftn(stack, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
     u, w = phys[:3], phys[3:]
     s2 = u[0] * u[0]
     s2 += u[1] * u[1]
     s2 += u[2] * u[2]
-    force = np.zeros_like(u)
-    if convective:
-        for i, j, k in _CYCLIC:
-            np.multiply(u[j], w[k], out=force[i])
-            force[i] -= u[k] * w[j]
+    force = np.empty_like(u)
+    for i, j, k in _CYCLIC:
+        np.multiply(u[j], w[k], out=force[i])
+        force[i] -= u[k] * w[j]
     if beta == 1.0:
         fac = alpha
     else:
@@ -90,8 +88,7 @@ def ref_rhs(c, grid, alpha, beta, f, convective=True):
     out = sfft.rfftn(force, axes=(-3, -2, -1), norm="forward")
     out *= full.mask_f
     ref_project(out, grid)
-    if f is not None:
-        out += f
+    out += f
     return out, math.sqrt(float(s2.max()))
 
 
@@ -130,6 +127,12 @@ def setup(n, beta):
     physics = Physics(mu=0.05, alpha=0.7, beta=beta,
                       forcing=ForcingField.cylinder(grid, force=(0.0, 1.0, 0.0)))
     return grid, u, physics
+
+
+def forcing(grid, physics, forced):
+    """The run's forcing, or the zero forcing with which the invariant tests
+    read the convective and damping terms off the kernel."""
+    return physics.forcing.coeffs if forced else ForcingField.zero(grid).coeffs
 
 
 NS = [16, 18, 32]
@@ -249,16 +252,15 @@ class TestSlabs:
 
     @pytest.mark.parametrize("n", [16, 18, 48])
     @pytest.mark.parametrize("beta", BETAS)
-    @pytest.mark.parametrize("convective", [True, False])
+    @pytest.mark.parametrize("forced", [True, False])
     @pytest.mark.parametrize("planes", [1, 5, "whole"])
-    def test_rhs_independent_of_slab_size(self, monkeypatch, n, beta, convective, planes):
+    def test_rhs_independent_of_slab_size(self, monkeypatch, n, beta, forced, planes):
         """At n <= 32 the default slab is the whole grid; these sizes put seams in."""
         set_slab(monkeypatch, n, n if planes == "whole" else planes)
         grid, u, physics = setup(n, beta)
-        f = physics.forcing.coeffs if convective else None
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
-                                 None if f is None else grid.scatter(f), convective)
-        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f, convective=convective)
+        f = forcing(grid, physics, forced)
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta, grid.scatter(f))
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f)
         assert np.array_equal(grid.scatter(got), ref)
         assert speed == ref_speed
 
@@ -290,16 +292,16 @@ class TestResultsOwnTheirMemory:
         rng = np.random.default_rng(5)
         first = grids[0]
         c = random_block(first, 3, rng)
-        res, speed = nonviscous_rhs(c, first, 0.7, 2.0, None)
+        f = ForcingField.zero(first).coeffs
+        res, speed = nonviscous_rhs(c, first, 0.7, 2.0, f)
         kept = res.copy()
         for rnd in range(2):
             for grid in grids:
                 other = random_block(grid, 3, rng)
-                nonviscous_rhs(other, grid, 0.7, 2.0, None)  # six components in
-                nonviscous_rhs(other, grid, 0.7, 2.0, None, convective=False)  # three in
-                grid.to_physical(other)
+                nonviscous_rhs(other, grid, 0.7, 2.0, ForcingField.zero(grid).coeffs)  # six components in
+                grid.to_physical(other)  # three in
                 assert np.array_equal(res, kept), (rnd, grid.n)
-        again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, None)
+        again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, f)
         assert np.array_equal(again, kept) and speed_again == speed
         assert not np.may_share_memory(again, res)
 
@@ -311,18 +313,17 @@ class TestSplit:
     @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize("n", [18, 32, 48, 64])  # K = 6, 11 (odd), 16, 22
     @pytest.mark.parametrize("beta", BETAS)
-    @pytest.mark.parametrize("convective", [True, False])
-    def test_rhs_bitwise(self, monkeypatch, parts, n, beta, convective):
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_rhs_bitwise(self, monkeypatch, parts, n, beta, forced):
         """Slabs of 5 planes put seams in both halves of every grid."""
         set_slab(monkeypatch, n, 5)
         set_cpus(monkeypatch, parts)
         assert pipeline_parts(n) == parts
         started = record_threads(monkeypatch)
         grid, u, physics = setup(n, beta)
-        f = physics.forcing.coeffs if convective else None
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
-                                 None if f is None else grid.scatter(f), convective)
-        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f, convective=convective)
+        f = forcing(grid, physics, forced)
+        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta, grid.scatter(f))
+        got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f)
         assert np.array_equal(grid.scatter(got), ref)
         assert speed == ref_speed
         assert len(started) == parts - 1  # one worker serves all three stages
@@ -350,17 +351,17 @@ class TestSplit:
         poisoned = []
         transform = WaveGrid.transform_pointwise
 
-        def poisoning(self, coeffs, fn, **kw):
+        def poisoning(self, coeffs, fn):
             def fn_with_nan(part, lo, values, out):
                 if lo == self.n - slab_planes(self.n):  # the last slab, in the second half
                     assert part == 1
                     values[1, -1, 7, 9] = np.nan
                     poisoned.append(lo)
                 fn(part, lo, values, out)
-            return transform(self, coeffs, fn_with_nan, **kw)
+            return transform(self, coeffs, fn_with_nan)
 
         monkeypatch.setattr(WaveGrid, "transform_pointwise", poisoning)
-        speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, None)[1]
+        speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)[1]
         assert poisoned and math.isnan(speed)
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -376,7 +377,7 @@ class TestSplit:
         running, finished = [], []
         transform = WaveGrid.transform_pointwise
 
-        def failing_fn(self, coeffs, fn, **kw):
+        def failing_fn(self, coeffs, fn):
             def fn_or_fail(part, lo, values, out):
                 if part == failing:
                     raise ZeroDivisionError(f"part {part}")
@@ -385,7 +386,7 @@ class TestSplit:
                 fn(part, lo, values, out)
                 running.remove(lo)
                 finished.append(lo)
-            return transform(self, coeffs, fn_or_fail, **kw)
+            return transform(self, coeffs, fn_or_fail)
 
         with monkeypatch.context() as patch:
             patch.setattr(WaveGrid, "transform_pointwise", failing_fn)

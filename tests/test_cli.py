@@ -8,6 +8,7 @@ import pytest
 
 import dampedns.cli as cli
 import dampedns.diagnostics as diagnostics
+from dampedns import BlowUpError
 from dampedns.cli import main
 from dampedns.config import parse_config
 from dampedns.storage import read_diagnostics, read_snapshot
@@ -225,6 +226,35 @@ class TestSweepCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "sweep").exists()
 
+    def test_failed_cell_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        def integrate(*a, **k):
+            raise BlowUpError(0.5, 1e300)
+        monkeypatch.setattr("dampedns.experiments.integrate", integrate)
+        code = main(["sweep", "--n", "8", "--alphas", "0.2", "--betas", "1", "--max-t", "1",
+                     "--stride", "0.5", "--out", str(tmp_path / "sweep")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: steady-state cell alpha=0.2, beta=1.0 failed: solution blew up at t=0.5")
+
+    def test_other_cell_exceptions_propagate_unwrapped(self, tmp_path, monkeypatch):
+        def integrate(*a, **k):
+            raise ZeroDivisionError("not a solver error")
+        monkeypatch.setattr("dampedns.experiments.integrate", integrate)
+        with pytest.raises(ZeroDivisionError, match="not a solver error"):
+            main(["sweep", "--n", "8", "--alphas", "0.2", "--betas", "1", "--max-t", "1",
+                  "--stride", "0.5", "--out", str(tmp_path / "sweep")])
+
+    def test_dt_max_below_preset_dt(self, capsys, tmp_path):
+        """An adaptive step never reads dt, so a small --dt-max is not refused for it."""
+        code, rows, err = run_cli(
+            capsys, "sweep", "--n", "8", "--alphas", "0.2", "--betas", "1", "--max-t", "0.5",
+            "--stride", "0.25", "--dt-max", "0.005", "--out", str(tmp_path / "sweep"),
+        )
+        assert code == 0, err
+        assert rows[-1]["command"] == "sweep"
+
     def test_quick_sweep(self, capsys, tmp_path):
         code, rows, _ = run_cli(
             capsys, "sweep", "--n", "8", "--alphas", "0.2,0.5", "--betas", "1",
@@ -258,7 +288,7 @@ class TestSeparateCommand:
         assert "uniqueness" in captured.err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--n", "9"), ("--dt", "0.1"), ("--deltas", "0"), ("--t", "0.02"),
+        ("--n", "9"), ("--dt", "0"), ("--deltas", "0"), ("--t", "0.02"),
         ("--t", "0.5 --stride 0.3"),  # horizon not a whole number of strides
     ])
     def test_bad_flag_exits_2(self, capsys, flag, value):
@@ -266,6 +296,22 @@ class TestSeparateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_regime_violation_creates_no_output(self, capsys, tmp_path):
+        out = tmp_path / "o2"
+        code = main(["separate", "--n", "8", "--beta", "2", "--out", str(out)])
+        assert code == 2
+        assert "uniqueness" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dt_above_preset_dt_max(self, capsys):
+        """A fixed step never reads dt_max, so a --dt above the preset's is not refused for it."""
+        code, rows, err = run_cli(
+            capsys, "separate", "--n", "8", "--t", "0.5", "--dt", "0.06", "--stride", "0.25",
+            "--deltas", "1e-2,1e-3", "--beta", "4",
+        )
+        assert code == 0, err
+        assert rows[-1]["uniform_in_delta"] is True
 
     def test_quick_separation(self, capsys, tmp_path):
         code, rows, _ = run_cli(

@@ -20,7 +20,7 @@ from dampedns import (
 )
 from dampedns.config import build_grid, build_physics, build_state, load_preset
 from dampedns.fields import h_inner, h_norm_sq
-from dampedns.operators import damping_term, nonlinear_term, nonviscous_rhs
+from dampedns.operators import nonviscous_rhs
 from dampedns.timestepping import _cfl_dt
 
 
@@ -299,12 +299,24 @@ class TestStageOneDt:
         assert cfl_bound >= len(pairs) // 2
 
     def test_views_sum_to_kernel_along_run(self, cylinder_run):
+        """On the run's states the kernel splits into its convective term (alpha
+        = 0, zero forcing), its damping term (the change when the damping is
+        switched on) and the forcing, with the power of each as the energy
+        estimates use it."""
         cfg, physics, states, _ = cylinder_run
         al, be, f = physics.alpha, physics.beta, physics.forcing.coeffs
+        zero = np.zeros_like(f)
         for st in states[1:]:
-            fused, _ = nonviscous_rhs(st.u.coeffs, st.u.grid, al, be, f)
-            parts = nonlinear_term(st.u).coeffs + damping_term(st.u, al, be).coeffs + f
+            c, g = st.u.coeffs, st.u.grid
+            fused, _ = nonviscous_rhs(c, g, al, be, f)
+            conv = nonviscous_rhs(c, g, 0.0, 1.0, zero)[0]
+            damp = nonviscous_rhs(c, g, al, be, zero)[0] - conv
+            parts = conv + damp + f
             assert np.abs(fused - parts).max() <= 1e-12 * np.abs(parts).max()
+            assert abs(h_inner(conv, c, g)) <= 1e-10 * np.sqrt(h_norm_sq(conv, g) * h_norm_sq(c, g))
+            v = g.to_physical(c)
+            lbp = g.dx ** 3 * float(((v ** 2).sum(axis=0) ** ((be + 1) / 2)).sum())
+            assert h_inner(damp, c, g) == pytest.approx(-al * lbp, rel=1e-8)
 
 
 class TestTransformCount:
