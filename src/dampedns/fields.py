@@ -223,9 +223,10 @@ class ForcingField:
         if height is None:
             height = L / 3.0
 
-        coords = grid.meshgrid()
-        # periodic minimum-image offsets from the centre
-        d = [c - ctr - L * np.round((c - ctr) / L) for c, ctr in zip(coords, center)]
+        x = grid.axis_points()
+        # periodic minimum-image offsets from the centre, one axis each, broadcast over the grid
+        d = [(x - ctr - L * np.round((x - ctr) / L)).reshape(shape)
+             for ctr, shape in zip(center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))]
         ax = "xyz".index(axis)
         radial = [d[i] for i in range(3) if i != ax]
         inside = (radial[0] ** 2 + radial[1] ** 2 <= radius ** 2) & (np.abs(d[ax]) <= height / 2.0)

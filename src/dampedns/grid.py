@@ -30,11 +30,14 @@ the block equals the half-spectrum path bit for bit. Workspaces are kept
 per grid and allocated on first use.
 
 Once the grid outgrows one slab and the process may run on two CPUs
-(:func:`pipeline_parts`), each of the three stages runs in two halves of
-independent lines, one of them on a second thread: the inverse c2c passes
-by k3 column, the slab loop by x1-plane and the forward c2c passes by k3
-column. Each line still sees the same transform and the same pointwise
-arithmetic, so results do not depend on the split.
+(:func:`pipeline_parts`), each of the four stages runs in two halves of
+independent lines, one of them on a second thread. Each half owns whole
+contiguous blocks of the workspace it writes: the inverse c2c passes split
+by component (the velocity, then its curl), the slab loop by x1-plane, the
+forward x1 pass by x2 row and the forward x2 pass by retained k1 half, which
+also copies its rows into the result block. Each line still sees the same
+transform and the same pointwise arithmetic, so results do not depend on
+the split.
 """
 
 from __future__ import annotations
@@ -88,9 +91,11 @@ def _usable_cpus() -> int:
 def pipeline_parts(n: int) -> int:
     """Halves that :meth:`WaveGrid.transform_pointwise` runs side by side on
     an n^3 grid: 2 once the grid outgrows one slab (:func:`slab_planes` < n)
-    and the process may run on two CPUs, else 1. On a one-slab grid the
-    thread start and the handoff at each stage boundary cost more than the
-    second core saves."""
+    and the process may run on two CPUs, else 1. The halves split the
+    inverse c2c passes by component, the slab loop by x1-plane, the forward
+    x1 pass by x2 row and the forward x2 pass by retained k1 half. On a
+    one-slab grid the thread start and the handoff at each stage boundary
+    cost more than the second core saves."""
     return 2 if slab_planes(n) < n and _usable_cpus() >= 2 else 1
 
 
@@ -248,38 +253,42 @@ class WaveGrid:
         workspace's quadrants, so the workspace holds six components.
 
         Returns the (c, N, N, N//2+1) workspace and the stage
-        ``columns(part, k3)`` of :func:`_in_parts` that transforms a share
-        of its k3 columns; the lines of one column never meet another
-        column's. Once every share has run, the workspace is ready for
-        ``irfft`` along k3. Its columns k3 >= K are never written and stay
-        zero; the padding the two passes overwrite is re-zeroed on every
-        call.
+        ``components(part, share)`` of :func:`_in_parts` that fills and
+        transforms a share of its components: the velocity components of
+        the share are copied in as one batch, its curl components are
+        formed one at a time, and the share's k1 and k2 passes run on all K
+        columns. A component's lines never meet another component's, and
+        each share is a contiguous block of the workspace. Once every share
+        has run, the workspace is ready for ``irfft`` along k3. Its columns
+        k3 >= K are never written and stay zero; the padding the two passes
+        overwrite is re-zeroed on every call.
         """
-        comps = coeffs.shape[0]
+        comps, kb = coeffs.shape[0], self.kb
         work = self.workspace("inverse", (2 * comps if curl else comps, self.n, self.n, self.nk))
+        ik = self.ikvec if curl else None  # built on first use here, in the calling thread's malloc arena
 
-        def columns(part: int, k3: slice) -> None:
-            cols, block = work[..., k3], coeffs[..., k3]
+        def components(part: int, share: slice) -> None:
+            cols = work[share, ..., :kb]
+            vel = slice(share.start, min(share.stop, comps))
             for f1, b1 in self._halves:
                 for f2, b2 in self._halves:
-                    cols[:comps, f1, f2] = block[:, b1, b2]
-            if curl:  # one component at a time in a cache-sized block, then into the quadrants
-                ik = self.ikvec[..., k3]
-                rot, tmp = self.workspace(f"inverse.curl{part}", (2,) + block.shape[1:])
-                for i, j, k in _CYCLIC:
-                    np.multiply(ik[j], block[k], out=rot)
-                    np.multiply(ik[k], block[j], out=tmp)
+                    work[vel, f1, f2, :kb] = coeffs[vel, b1, b2]
+            if share.stop > comps:  # curl: one component at a time in a cache-sized block, then into the quadrants
+                rot, tmp = self.workspace(f"inverse.curl{part}", (2,) + coeffs.shape[1:])
+                for i, j, k in _CYCLIC[max(share.start - comps, 0):share.stop - comps]:
+                    np.multiply(ik[j], coeffs[k], out=rot)
+                    np.multiply(ik[k], coeffs[j], out=tmp)
                     rot -= tmp
                     for f1, b1 in self._halves:
                         for f2, b2 in self._halves:
-                            cols[3 + i, f1, f2] = rot[b1, b2]
+                            work[comps + i, f1, f2, :kb] = rot[b1, b2]
             for f2, _ in self._halves:
                 cols[:, self._pad, f2] = 0.0
                 _c2c_inplace(cols[:, :, f2], -3, inverse=True)
             cols[:, :, self._pad] = 0.0
             _c2c_inplace(cols, -2, inverse=True)
 
-        return work, columns
+        return work, components
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Block coefficients (c, M, M, K) -> real collocation values (c, N, N, N).
@@ -291,7 +300,7 @@ class WaveGrid:
         make concurrent calls on one grid unsafe.
         """
         lines, inverse = self._inverse_lines(coeffs)
-        inverse(0, slice(0, self.kb))
+        inverse(0, slice(0, len(lines)))
         return _fft.irfft(lines, n=self.n, axis=-1, norm="forward", workers=FFT_WORKERS)
 
     def transform_pointwise(
@@ -331,14 +340,25 @@ class WaveGrid:
                 half = _fft.rfft(out, axis=-1, workers=FFT_WORKERS)
                 np.multiply(half[..., :kb].view(np.float64), self._fwd_scale, out=spec_re[:, lo:hi])
 
-        def columns(part: int, k3: slice) -> None:
-            cols = spec[..., k3]
-            _c2c_inplace(cols, -3)
-            for rows, _ in self._halves:  # only the retained k1 rows go on to the k2 pass
-                _c2c_inplace(cols[:, rows], -2)
+        block = None
 
-        _in_parts(pipeline_parts(n), [(kb, inverse), (n, slabs), (kb, columns)])
-        return self.gather(spec)
+        def x1_lines(part: int, x2: slice) -> None:
+            nonlocal block
+            if part == 0:  # allocated once the slabs' temporaries are freed, so it can reuse their memory
+                block = np.empty(self.shape(), spec.dtype)
+            _c2c_inplace(spec[:, :, x2], -3)
+
+        def x2_lines(part: int, halves: slice) -> None:
+            for f1, b1 in self._halves[halves]:  # only the retained k1 rows go on to the k2 pass
+                rows = spec[:, f1]
+                _c2c_inplace(rows, -2)
+                for f2, b2 in self._halves:
+                    block[:, b1, b2] = rows[:, :, f2]
+
+        _in_parts(pipeline_parts(n), [
+            (len(lines), inverse), (n, slabs), (n, x1_lines), (len(self._halves), x2_lines),
+        ])
+        return block
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real collocation values -> their retained block (batched over leading axes)."""
@@ -351,10 +371,6 @@ class WaveGrid:
         """Collocation coordinates along one axis."""
         return self.dx * np.arange(self.n)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = self.axis_points()
-        return np.meshgrid(x, x, x, indexing="ij")
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"WaveGrid(n={self.n}, length={self.length})"
 
@@ -362,6 +378,9 @@ class WaveGrid:
 def _in_parts(parts: int, stages: list[tuple[int, Callable[[int, slice], None]]]) -> None:
     """Run each stage ``(length, work)`` as ``work(part, share)`` on ``parts``
     (1 or 2) consecutive shares of range(length), one stage after another.
+    A stage's range indexes the axis it splits along (components, x1-planes,
+    x2 rows or k1 halves in :meth:`WaveGrid.transform_pointwise`), so that
+    each share is a contiguous block of the arrays its part writes.
 
     Part 0 runs in the calling thread and part 1 on a thread started here
     and joined before this returns, so no thread outlives the call. A

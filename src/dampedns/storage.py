@@ -252,8 +252,8 @@ def read_snapshot_header(path: str | Path) -> SnapshotHeader:
     header = SnapshotHeader(*fields)
     if header.magic != SNAPSHOT_MAGIC:
         raise StorageError(f"{path}: not a snapshot file (bad magic)")
-    if header.version > SNAPSHOT_VERSION:
-        raise StorageError(f"{path}: snapshot format version {header.version} is newer than supported {SNAPSHOT_VERSION}")
+    if header.version != SNAPSHOT_VERSION:
+        raise StorageError(f"{path}: snapshot format version {header.version} is not the supported {SNAPSHOT_VERSION}")
     return header
 
 

@@ -326,7 +326,7 @@ class TestSplit:
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f)
         assert np.array_equal(grid.scatter(got), ref)
         assert speed == ref_speed
-        assert len(started) == parts - 1  # one worker serves all three stages
+        assert len(started) == parts - 1  # one worker serves all four stages
 
     @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize("n, beta", [(18, 1.0), (32, 3.5), (48, 2.0), (64, 3.5)])
@@ -415,7 +415,7 @@ class TestSplit:
         grid, u, physics = setup(64, 3.5)
         nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
-        assert calls == [(2, 3)] and len(started) == 1
+        assert calls == [(2, 4)] and len(started) == 1
 
     @pytest.mark.parametrize("n, cpus", [(64, 1), (32, 2), (16, 2)])
     def test_one_part_starts_no_thread(self, monkeypatch, n, cpus):

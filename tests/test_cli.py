@@ -10,7 +10,7 @@ import dampedns.cli as cli
 import dampedns.diagnostics as diagnostics
 from dampedns import BlowUpError
 from dampedns.cli import main
-from dampedns.config import parse_config
+from dampedns.config import parse_config, preset_text
 from dampedns.storage import read_diagnostics, read_snapshot
 
 QUICK_CONFIG = """
@@ -164,7 +164,8 @@ class TestVerifyCommand:
         assert by_id["monotone_envelope"]["pass"] is True
         # entry into the absorbing ball is not certifiable within T = 5 from
         # E0 = 124, so that check is skipped for this preset
-        assert "absorbing_ball" not in by_id
+        assert by_id["absorbing_ball"]["skipped"].startswith("run too short")
+        assert "pass" not in by_id["absorbing_ball"]
         assert rows[-1]["all_pass"] is True
 
     def test_verify_quick_config(self, capsys, tmp_path):
@@ -207,8 +208,31 @@ class TestVerifyCommand:
             raise ValueError(f"not strict JSON: {name}")
 
         rows = [json.loads(line, parse_constant=reject) for line in lines]
-        assert "monotone_envelope" not in {r.get("bound_id") for r in rows}
+        by_id = {r["bound_id"]: r for r in rows if "bound_id" in r}
+        assert by_id["monotone_envelope"] == {"bound_id": "monotone_envelope",
+                                              "skipped": "need at least 2 records for a pair"}
         assert rows[-1] == {"all_pass": True, "command": "verify", "run_id": "quick"}
+
+    def test_skipped_check_has_a_row(self, capsys, tmp_path):
+        """The benchmark's verify preset at beta = 2 lies outside the
+        regularity regime: its norm_boundedness row says why it was skipped,
+        the verdict ignores it, and every line is strict JSON."""
+        cfg = tmp_path / "cyl.cfg"
+        cfg.write_text(preset_text("cylinder-a05-b2").replace("t_end = 60.0", "t_end = 0.5")
+                       + f"output_dir = {tmp_path}/out\n")
+        code = main(["verify", str(cfg)])
+        lines = capsys.readouterr().out.splitlines()
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        by_id = {r["bound_id"]: r for r in rows if "bound_id" in r}
+        skipped = by_id["norm_boundedness"]
+        assert set(skipped) == {"bound_id", "skipped"}
+        assert skipped["skipped"].startswith("norm boundedness requires regularity")
+        assert code == 0 and rows[-1] == {"all_pass": True, "command": "verify",
+                                          "run_id": "cylinder-a05-b2"}
 
 
 class TestSweepCommand:

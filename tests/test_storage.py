@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dampedns import (
     DiagnosticsWriter,
@@ -248,6 +251,12 @@ class TestSnapshots:
         with pytest.raises(StorageError, match="magic"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("version", [0, 2, 2 ** 32 - 1])
+    def test_other_version_rejected(self, tmp_path, version):
+        path = fixture_with_header(tmp_path / "bad.snap", version=version)
+        with pytest.raises(StorageError, match=f"version {version} is not the supported 1"):
+            read_snapshot(path)
+
     @pytest.mark.parametrize("fields,match", [
         ({"n": 9}, "bad grid"),
         ({"length": -1.0}, "bad grid"),
@@ -280,6 +289,58 @@ class TestSnapshots:
         other_ph = Physics(mu=ph.mu * 2, alpha=ph.alpha, beta=ph.beta, forcing=ph.forcing)
         with pytest.raises(StorageError, match="physics mismatch"):
             check_restart_compatible(header, g, other_ph)
+
+
+def _header_spans() -> dict[str, tuple[int, int]]:
+    """Byte range of each snapshot header field (the "<" format has no padding)."""
+    codes = re.findall(r"\d*[a-zA-Z]", storage._HEADER_FMT[1:])
+    spans, lo = {}, 0
+    for field, code in zip(dataclasses.fields(storage.SnapshotHeader), codes):
+        hi = lo + struct.calcsize("<" + code)
+        spans[field.name], lo = (lo, hi), hi
+    return spans
+
+
+def _bits(lo: int, hi: int):
+    return hst.integers(8 * lo, 8 * hi - 1)
+
+
+V1_RAW = V1_FIXTURE.read_bytes()
+CHECKED_BITS = hst.one_of(  # the fields a v1 reader can check, and the payload
+    *(_bits(*_header_spans()[name]) for name in ("magic", "version", "n_modes", "checksum")),
+    _bits(storage._HEADER_SIZE, len(V1_RAW)),
+)
+
+
+class TestSnapshotReaderProperties:
+    """Damaged copies of the v1 fixture are refused with StorageError and
+    never read back as a state.
+
+    The bit flips cover the fields the v1 format can vouch for: the magic,
+    the version, the mode count, the checksum and the payload it covers.
+    Flips in n, L, t, mu, alpha, beta, step_count and last_dt are out of
+    scope: those header fields lie outside the v1 checksum, and some flips
+    leave a consistent file (n = 16 -> 18 keeps the mode count). The v2
+    header of ROADMAP item 4 puts them under the checksum.
+    """
+
+    @settings(derandomize=True, deadline=None)
+    @given(length=hst.integers(0, len(V1_RAW) - 1))
+    def test_truncated_file_rejected(self, tmp_path_factory, length):
+        path = tmp_path_factory.mktemp("snap") / "cut.snap"
+        path.write_bytes(V1_RAW[:length])
+        with pytest.raises(StorageError):
+            read_snapshot(path)
+
+    @settings(derandomize=True, deadline=None)
+    @given(bit=CHECKED_BITS)
+    def test_flipped_bit_rejected(self, tmp_path_factory, bit):
+        raw = bytearray(V1_RAW)
+        raw[bit // 8] ^= 1 << (bit % 8)
+        path = tmp_path_factory.mktemp("snap") / "flipped.snap"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StorageError):
+            read_snapshot(path)
 
 
 class TestRestartEquivalence:
