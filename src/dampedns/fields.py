@@ -53,22 +53,32 @@ def h_norm_sq(coeffs: np.ndarray, grid: WaveGrid) -> float:
     return h_inner(coeffs, coeffs, grid)
 
 
-def project_coeffs(coeffs: np.ndarray, grid: WaveGrid) -> np.ndarray:
+def project_coeffs(coeffs: np.ndarray, grid: WaveGrid, rows: slice | None = None) -> np.ndarray:
     """In-place Leray projection: u_hat -= k (k . u_hat) / |k|^2, zero mean.
 
     Acts mode-by-mode with the real symmetric matrix I - k k^T/|k|^2, so it
     is idempotent and preserves Hermitian symmetry. The k = 0 mode is
     zeroed outright (zero-mean constraint).
+
+    ``rows`` limits it to a range of k1 rows of the block (all M by
+    default), as a part of :meth:`WaveGrid.by_k1_half` gets them; the modes
+    do not interact, so projecting the rows range by range gives the bits
+    of one whole-block call. The scratch is a per-grid workspace named by
+    the first row, so calls on disjoint row ranges may run concurrently.
     """
-    kv = grid.kvec
-    div = kv[0] * coeffs[0]
-    div += kv[1] * coeffs[1]
-    div += kv[2] * coeffs[2]
-    div *= grid.inv_ksq
-    coeffs[0] -= kv[0] * div
-    coeffs[1] -= kv[1] * div
-    coeffs[2] -= kv[2] * div
-    coeffs[:, 0, 0, 0] = 0.0
+    rows = slice(0, grid.mb) if rows is None else rows
+    kv, c = grid.kvec[:, rows], coeffs[:, rows]
+    div, tmp = grid.workspace(f"project.row{rows.start}", (2,) + kv.shape[1:])
+    np.multiply(kv[0], c[0], out=div)
+    for i in (1, 2):
+        np.multiply(kv[i], c[i], out=tmp)
+        div += tmp
+    div *= grid.inv_ksq[rows]
+    for i in range(3):
+        np.multiply(kv[i], div, out=tmp)
+        c[i] -= tmp
+    if rows.start == 0:
+        c[:, 0, 0, 0] = 0.0
     return coeffs
 
 

@@ -35,9 +35,13 @@ independent lines, one of them on a second thread. Each half owns whole
 contiguous blocks of the workspace it writes: the inverse c2c passes split
 by component (the velocity, then its curl), the slab loop by x1-plane, the
 forward x1 pass by x2 row and the forward x2 pass by retained k1 half, which
-also copies its rows into the result block. Each line still sees the same
-transform and the same pointwise arithmetic, so results do not depend on
-the split.
+also copies its rows into the result block and finishes them there (the
+right-hand side projects them and adds the forcing). The block-wide work
+of a time step outside the pipeline splits the same way
+(:meth:`WaveGrid.by_k1_half`): the IF-RK2 predictor and corrector, the
+post-step projection and the blow-up peak. Each line and each mode still
+sees the same transform and the same arithmetic, so results do not depend
+on the split.
 """
 
 from __future__ import annotations
@@ -89,11 +93,12 @@ def _usable_cpus() -> int:
 
 
 def pipeline_parts(n: int) -> int:
-    """Halves that :meth:`WaveGrid.transform_pointwise` runs side by side on
-    an n^3 grid: 2 once the grid outgrows one slab (:func:`slab_planes` < n)
-    and the process may run on two CPUs, else 1. The halves split the
-    inverse c2c passes by component, the slab loop by x1-plane, the forward
-    x1 pass by x2 row and the forward x2 pass by retained k1 half. On a
+    """Halves that :meth:`WaveGrid.transform_pointwise` and
+    :meth:`WaveGrid.by_k1_half` run side by side on an n^3 grid: 2 once the
+    grid outgrows one slab (:func:`slab_planes` < n) and the process may run
+    on two CPUs, else 1. The halves split the inverse c2c passes by
+    component, the slab loop by x1-plane, the forward x1 pass by x2 row and
+    the forward x2 pass and the block-wide work by retained k1 half. On a
     one-slab grid the thread start and the handoff at each stage boundary
     cost more than the second core saves."""
     return 2 if slab_planes(n) < n and _usable_cpus() >= 2 else 1
@@ -305,6 +310,7 @@ class WaveGrid:
 
     def transform_pointwise(
         self, coeffs: np.ndarray, fn: Callable[[int, int, np.ndarray, np.ndarray], None],
+        finish: Callable[[np.ndarray, slice], None],
     ) -> np.ndarray:
         """Velocity block (3, M, M, K) -> the block (3, M, M, K) of a
         pointwise map of the velocity and its curl, slab by slab.
@@ -316,13 +322,17 @@ class WaveGrid:
         ``part`` names the half of a call. One half's calls run in plane
         order on one thread, while the other half's may run at the same time
         on another, so ``fn`` keeps per-part state apart.
+        ``finish(block, rows)`` then acts on the k1 rows ``rows`` of the
+        result block that its part has just filled, in place and on those
+        rows alone (:meth:`by_k1_half`): once per part, on all M rows when
+        there is one part.
 
-        The result equals ``gather(rfftn(fn(irfftn(scatter([c, ik x c]))),
-        norm="forward"))`` bit for bit, whatever the slab size or the number
-        of parts: the same 1D transforms in the same axis order, with the
-        1/N^3 factor applied after the x3 transform as pocketfft applies it.
-        The result is a new array; the workspaces make concurrent calls on
-        one grid unsafe.
+        Before ``finish``, the result equals
+        ``gather(rfftn(fn(irfftn(scatter([c, ik x c]))), norm="forward"))``
+        bit for bit, whatever the slab size or the number of parts: the same
+        1D transforms in the same axis order, with the 1/N^3 factor applied
+        after the x3 transform as pocketfft applies it. The result is a new
+        array; the workspaces make concurrent calls on one grid unsafe.
         """
         n, kb = self.n, self.kb
         lines, inverse = self._inverse_lines(coeffs, curl=True)
@@ -354,11 +364,30 @@ class WaveGrid:
                 _c2c_inplace(rows, -2)
                 for f2, b2 in self._halves:
                     block[:, b1, b2] = rows[:, :, f2]
+            finish(block, self._k1_rows(halves))
 
         _in_parts(pipeline_parts(n), [
             (len(lines), inverse), (n, slabs), (n, x1_lines), (len(self._halves), x2_lines),
         ])
         return block
+
+    def _k1_rows(self, halves: slice) -> slice:
+        """Block rows of a share of the retained k1 halves: 0..K-1 for the
+        first, K..M-1 for the second, and 0..M-1 for both, which lie
+        next to each other in the block."""
+        bounds = (0, self.kb, self.mb)
+        return slice(bounds[halves.start], bounds[halves.stop])
+
+    def by_k1_half(self, work: Callable[[int, slice], None]) -> None:
+        """Run ``work(part, rows)`` on the block's k1 rows in
+        :func:`pipeline_parts` parts, split by retained k1 half as the
+        forward x2 pass of :meth:`transform_pointwise` splits them: rows
+        0..K-1 and K..M-1 side by side in two parts (one of them on a thread
+        started and joined here), or rows 0..M-1 in the calling thread. Each
+        part owns contiguous rows of every block it writes, so mode-wise
+        work gives the same bits in either case."""
+        halves = len(self._halves)
+        _in_parts(pipeline_parts(self.n), [(halves, lambda part, share: work(part, self._k1_rows(share)))])
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real collocation values -> their retained block (batched over leading axes)."""
@@ -379,7 +408,8 @@ def _in_parts(parts: int, stages: list[tuple[int, Callable[[int, slice], None]]]
     """Run each stage ``(length, work)`` as ``work(part, share)`` on ``parts``
     (1 or 2) consecutive shares of range(length), one stage after another.
     A stage's range indexes the axis it splits along (components, x1-planes,
-    x2 rows or k1 halves in :meth:`WaveGrid.transform_pointwise`), so that
+    x2 rows or k1 halves in :meth:`WaveGrid.transform_pointwise`, k1 halves
+    in :meth:`WaveGrid.by_k1_half`), so that
     each share is a contiguous block of the arrays its part writes.
 
     Part 0 runs in the calling thread and part 1 on a thread started here

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from . import fields
 from .grid import _CYCLIC, WaveGrid, slab_planes
 from .fields import project_coeffs
 
@@ -56,8 +57,10 @@ def nonviscous_rhs(
     calls the pointwise force below on one slab of physical values at a
     time, from one or two threads. s2 = u . u feeds both the damping factor
     and the peak speed; each half keeps its own scratch and running peak,
-    and sqrt(max s2) is bitwise the max of the pointwise speeds. Apart from
-    the result every array is a per-grid workspace.
+    and sqrt(max s2) is bitwise the max of the pointwise speeds. Each half
+    then projects the k1 rows of the result it has just filled and adds the
+    forcing to them. Apart from the result every array is a per-grid
+    workspace.
     """
     n = grid.n
     planes = slab_planes(n)
@@ -87,8 +90,13 @@ def nonviscous_rhs(
         np.multiply(fac, u, out=prod)
         out -= prod
 
-    out = grid.transform_pointwise(coeffs, force)
-    project_coeffs(out, grid)
-    out += forcing_coeffs
+    def finish(block: np.ndarray, rows: slice) -> None:
+        # through the fields module: a wrapper put on this module's name (the
+        # span tracer of perfbench/spans.py) keeps one span stack per process
+        # and must not run on the second part's thread
+        fields.project_coeffs(block, grid, rows)
+        block[:, rows] += forcing_coeffs[:, rows]
+
+    out = grid.transform_pointwise(coeffs, force, finish)
     return out, math.sqrt(float(np.maximum(*peaks)))
 

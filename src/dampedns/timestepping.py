@@ -5,6 +5,14 @@ is advanced with the viscous term handled exactly per mode through the
 factor exp(-mu |k|^2 dt); the convective, damping and forcing parts are
 explicit. Available schemes: IF-RK2 (integrating-factor Heun, the default)
 and IF-RK4.
+
+A step's block-wide work runs in the parts of
+:meth:`~dampedns.grid.WaveGrid.by_k1_half`, each on its own k1 rows of
+every block: the IF-RK2 predictor (into a per-grid workspace), the IF-RK2
+corrector, and for both schemes the post-step projection and the blow-up
+peak. The right-hand side runs its own pipeline in the same parts
+(:func:`~dampedns.operators.nonviscous_rhs`). Every mode sees the same
+arithmetic in either part, so results do not depend on the split.
 """
 
 from __future__ import annotations
@@ -14,9 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import fields
 from .grid import WaveGrid
 from .fields import ForcingField, SpectralVelocity
-from .operators import check_physics, nonviscous_rhs, project_coeffs
+from .operators import check_physics, nonviscous_rhs
 
 __all__ = [
     "SolverError",
@@ -130,7 +139,10 @@ def step(
     The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
     terms are advanced explicitly at the configured order, all on the
     retained block. The result is re-projected to keep the field invariants
-    after every step, and a blow-up guard rejects runaway amplitudes.
+    after every step, and a blow-up guard rejects runaway amplitudes, NaN
+    included. An IF-RK2 step allocates only its two right-hand sides, the
+    first of which becomes the result; the predictor and every scratch
+    array are per-grid workspaces.
     """
     grid = state.u.grid
     coeffs = state.u.coeffs
@@ -141,17 +153,39 @@ def step(
         dt = min(dt, until - state.t)
     if dt <= 0.0:
         raise SolverError(f"nonpositive step dt={dt}")
+    peaks = np.full(2, -np.inf)
+
+    def finish(part: int, rows: slice) -> None:
+        # the projection goes through the fields module, as in nonviscous_rhs
+        fields.project_coeffs(out, grid, rows)
+        mine = out[:, rows]
+        mag = grid.workspace(f"step.abs{part}", mine.shape[1:], np.float64)
+        peaks[part] = np.max([np.abs(comp, out=mag).max() for comp in mine])
+
     if scheme.method == "if-rk2":
         visc = grid.viscous_factor(physics.mu, dt)
-        pred = coeffs + dt * k1
-        pred *= visc
+        pred = grid.workspace("step.pred", coeffs.shape)
+
+        def predictor(part: int, rows: slice) -> None:
+            mine = pred[:, rows]
+            np.multiply(k1[:, rows], dt, out=mine)
+            mine += coeffs[:, rows]
+            mine *= visc[rows]
+
+        grid.by_k1_half(predictor)
         k2, _ = nonviscous_rhs(pred, grid, al, be, f)
-        k1 *= 0.5 * dt
-        k1 += coeffs
-        k1 *= visc
-        k2 *= 0.5 * dt
-        k1 += k2
         out = k1
+
+        def corrector(part: int, rows: slice) -> None:
+            mine, late = out[:, rows], k2[:, rows]
+            mine *= 0.5 * dt
+            mine += coeffs[:, rows]
+            mine *= visc[rows]
+            late *= 0.5 * dt
+            mine += late
+            finish(part, rows)
+
+        grid.by_k1_half(corrector)
     else:  # if-rk4: classical RK4 on the integrating-factor transformed variable
         e_half = grid.viscous_factor(physics.mu, 0.5 * dt)
         e_full = e_half * e_half
@@ -161,9 +195,9 @@ def step(
         out = e_full * (coeffs + (dt / 6.0) * k1)
         out += (dt / 3.0) * (e_half * (k2 + k3))
         out += (dt / 6.0) * k4
-    project_coeffs(out, grid)
+        grid.by_k1_half(finish)
     t_new = state.t + dt
-    peak = float(np.abs(out).max())
+    peak = float(peaks.max())  # NaN in either part propagates, unlike the builtin max
     if not np.isfinite(peak) or peak > BLOWUP_GUARD:
         raise BlowUpError(t_new, peak)
     return SolverState(t_new, SpectralVelocity(grid, out), state.step_count + 1, dt)

@@ -18,10 +18,13 @@ import pytest
 import scipy.fft as sfft
 
 import dampedns.grid as grid_module
-from dampedns import ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step
+import dampedns.timestepping as timestepping
+from dampedns import (
+    BlowUpError, ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step,
+)
 from dampedns.grid import pipeline_parts, slab_planes
 from dampedns.operators import nonviscous_rhs
-from dampedns.timestepping import _cfl_dt
+from dampedns.timestepping import BLOWUP_GUARD, _cfl_dt
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -280,8 +283,12 @@ class TestPrunedForward:
             out[...] = x[:, lo:lo + out.shape[1]]
             filled.extend(range(lo, lo + out.shape[1]))
 
-        got = grid.transform_pointwise(random_block(grid, 3, rng), fill)
+        finished = []
+        got = grid.transform_pointwise(random_block(grid, 3, rng), fill,
+                                       lambda block, rows: finished.append(rows))
         assert sorted(filled) == list(range(n))
+        halves = [slice(0, grid.mb)] if pipeline_parts(n) == 1 else [slice(0, grid.kb), slice(grid.kb, grid.mb)]
+        assert sorted(finished, key=lambda r: r.start) == halves
         assert np.array_equal(got, grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
 
 
@@ -304,6 +311,18 @@ class TestResultsOwnTheirMemory:
         again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, f)
         assert np.array_equal(again, kept) and speed_again == speed
         assert not np.may_share_memory(again, res)
+
+
+# Slabs of 5 planes put seams in both halves of every grid; the last two
+# cases run n = 64 at its default slab of 8 planes, as `separate` does.
+TRAJECTORY_CASES = [
+    pytest.param(method, adaptive, n, beta, 5, id=f"{method}-{adaptive}-{n}-{beta}")
+    for n, beta in [(18, 1.0), (32, 3.5), (48, 2.0), (64, 3.5)]
+    for method, adaptive in [("if-rk2", True), ("if-rk2", False), ("if-rk4", False)]
+] + [
+    pytest.param("if-rk2", adaptive, 64, 4.0, None, id=f"if-rk2-{adaptive}-64-4.0-default-slab")
+    for adaptive in (True, False)
+]
 
 
 class TestSplit:
@@ -329,10 +348,10 @@ class TestSplit:
         assert len(started) == parts - 1  # one worker serves all four stages
 
     @pytest.mark.parametrize("parts", [1, 2])
-    @pytest.mark.parametrize("n, beta", [(18, 1.0), (32, 3.5), (48, 2.0), (64, 3.5)])
-    @pytest.mark.parametrize("method, adaptive", [("if-rk2", True), ("if-rk2", False), ("if-rk4", False)])
-    def test_trajectory_bitwise(self, monkeypatch, parts, n, beta, method, adaptive):
-        set_slab(monkeypatch, n, 5)
+    @pytest.mark.parametrize("method, adaptive, n, beta, planes", TRAJECTORY_CASES)
+    def test_trajectory_bitwise(self, monkeypatch, parts, method, adaptive, n, beta, planes):
+        if planes is not None:
+            set_slab(monkeypatch, n, planes)
         set_cpus(monkeypatch, parts)
         grid, u, physics = setup(n, beta)
         scheme = SchemeConfig(method=method, dt=0.02, adaptive=adaptive)
@@ -351,18 +370,49 @@ class TestSplit:
         poisoned = []
         transform = WaveGrid.transform_pointwise
 
-        def poisoning(self, coeffs, fn):
+        def poisoning(self, coeffs, fn, finish):
             def fn_with_nan(part, lo, values, out):
                 if lo == self.n - slab_planes(self.n):  # the last slab, in the second half
                     assert part == 1
                     values[1, -1, 7, 9] = np.nan
                     poisoned.append(lo)
                 fn(part, lo, values, out)
-            return transform(self, coeffs, fn_with_nan)
+            return transform(self, coeffs, fn_with_nan, finish)
 
         monkeypatch.setattr(WaveGrid, "transform_pointwise", poisoning)
         speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)[1]
         assert poisoned and math.isnan(speed)
+
+    @pytest.mark.parametrize("value", [math.nan, 1e20])
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_blowup_in_either_half_raises(self, monkeypatch, half, value):
+        """The parts' blow-up peaks are combined so that NaN propagates: the
+        builtin max(1.0, nan) is 1.0 and would let a NaN in the second half
+        through."""
+        set_cpus(monkeypatch, 2)
+        grid, u, physics = setup(64, 3.5)
+        assert pipeline_parts(64) == 2
+        rows = grid._k1_rows(slice(half, half + 1))
+        row = rows.start + 2
+        assert row < rows.stop
+        rhs = timestepping.nonviscous_rhs
+        calls = []
+
+        def poisoning(*args):
+            k, speed = rhs(*args)
+            calls.append(k)
+            if len(calls) == 2:  # k2: the corrector adds dt/2 of it to the result
+                k[0, row, 3, 5] = value
+            return k, speed
+
+        monkeypatch.setattr(timestepping, "nonviscous_rhs", poisoning)
+        with pytest.raises(BlowUpError) as err:
+            step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
+        assert len(calls) == 2
+        if math.isnan(value):
+            assert math.isnan(err.value.peak)
+        else:
+            assert err.value.peak > BLOWUP_GUARD
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_exception_waits_for_both_halves(self, monkeypatch, failing):
@@ -377,7 +427,7 @@ class TestSplit:
         running, finished = [], []
         transform = WaveGrid.transform_pointwise
 
-        def failing_fn(self, coeffs, fn):
+        def failing_fn(self, coeffs, fn, finish):
             def fn_or_fail(part, lo, values, out):
                 if part == failing:
                     raise ZeroDivisionError(f"part {part}")
@@ -386,7 +436,7 @@ class TestSplit:
                 fn(part, lo, values, out)
                 running.remove(lo)
                 finished.append(lo)
-            return transform(self, coeffs, fn_or_fail)
+            return transform(self, coeffs, fn_or_fail, finish)
 
         with monkeypatch.context() as patch:
             patch.setattr(WaveGrid, "transform_pointwise", failing_fn)
@@ -416,6 +466,12 @@ class TestSplit:
         nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
         assert calls == [(2, 4)] and len(started) == 1
+        # IF-RK2: each RHS pipeline, then the predictor, then the corrector
+        # with the post-step projection and blow-up peak; IF-RK4 shares the last
+        step(SolverState(0.0, u), SchemeConfig(method="if-rk2", dt=0.01, adaptive=False), physics)
+        assert calls[1:] == [(2, 4), (2, 1), (2, 4), (2, 1)] and len(started) == 5
+        step(SolverState(0.0, u), SchemeConfig(method="if-rk4", dt=0.01, adaptive=False), physics)
+        assert calls[5:] == [(2, 4)] * 4 + [(2, 1)] and len(started) == 10
 
     @pytest.mark.parametrize("n, cpus", [(64, 1), (32, 2), (16, 2)])
     def test_one_part_starts_no_thread(self, monkeypatch, n, cpus):
@@ -429,6 +485,8 @@ class TestSplit:
                                  grid.scatter(physics.forcing.coeffs))
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
+        for method in ("if-rk2", "if-rk4"):
+            step(SolverState(0.0, u), SchemeConfig(method=method, dt=0.01, adaptive=False), physics)
         assert started == []
         assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
 
