@@ -69,7 +69,6 @@ from .storage import (
     StorageError,
     read_diagnostics,
     read_snapshot,
-    write_diagnostics,
     write_snapshot,
 )
 

@@ -21,7 +21,6 @@ __all__ = [
     "NotApplicable",
     "RegimeError",
     "BoundReport",
-    "BOUND_IDS",
     "REGIME_BY_CHECK",
     "in_uniqueness_regime",
     "in_regularity_regime",
@@ -33,15 +32,6 @@ __all__ = [
     "monotone_envelope_max_excess",
 ]
 
-BOUND_IDS = (
-    "energy_decay",
-    "energy_integral",
-    "absorbing_ball",
-    "damping_positivity",
-    "norm_boundedness",
-    "monotone_envelope",
-)
-
 # Two closely related parameter regimes appear in the theory; each check
 # records which variant it needs. Uniqueness / continuous dependence allows
 # the boundary case 4*alpha*mu = 1 at beta = 3, the regularity estimates
@@ -52,6 +42,9 @@ REGIME_BY_CHECK = {
 }
 
 
+# The integrator (IF-RK2) is second order: the scheme slack of every check
+# with a dt is dt ** SCHEME_ORDER times a scale.
+SCHEME_ORDER = 2
 SLOPE_TOL = 1e-3  # per time unit, see check_norm_boundedness
 # check_absorbing_ball: the entry prediction is the time the decay bound
 # takes to bring E0 down to ENTRY_TOL, and entry may lag it by T_SLACK.
@@ -111,8 +104,8 @@ def _report(bound_id: str, times, margin, tolerance: float, **details) -> BoundR
     return BoundReport(bound_id, checked_at, margin, float(tolerance), passed, details)
 
 
-def _scheme_tolerance(dt: float, order: int, scale: float) -> float:
-    return max(1e-8, dt ** order * scale)
+def _scheme_tolerance(dt: float, scale: float) -> float:
+    return max(1e-8, dt ** SCHEME_ORDER * scale)
 
 
 def check_decay_bound(
@@ -122,7 +115,6 @@ def check_decay_bound(
     f_norm_sq: float,
     *,
     dt: float,
-    order: int = 2,
     tolerance: float | None = None,
 ) -> BoundReport:
     """E(t) <= exp(-mu lambda1 t) E(0) + |f|^2 / (mu^2 lambda1^2) + tol.
@@ -134,7 +126,7 @@ def check_decay_bound(
     e0 = records[0].E
     floor = f_norm_sq / (mu ** 2 * lambda1 ** 2)
     bound = np.exp(-mu * lambda1 * (t - t[0])) * e0 + floor
-    tol = _scheme_tolerance(dt, order, e0) if tolerance is None else tolerance
+    tol = _scheme_tolerance(dt, e0) if tolerance is None else tolerance
     return _report(
         "energy_decay", t, bound - e, tol,
         e0=e0, f_floor=floor, rate=mu * lambda1,
@@ -151,7 +143,6 @@ def check_integral_bound(
     f_norm_sq: float,
     *,
     dt: float,
-    order: int = 2,
     tolerance: float | None = None,
 ) -> BoundReport:
     """Time-integrated dissipation bound over [s, t].
@@ -188,7 +179,7 @@ def check_integral_bound(
             trap_slack = (t - s) * d2 / 12.0
         else:
             trap_slack = 0.0
-    tol = (_scheme_tolerance(dt, order, e0) + trap_slack) if tolerance is None else tolerance
+    tol = (_scheme_tolerance(dt, e0) + trap_slack) if tolerance is None else tolerance
     return _report(
         "energy_integral", [s, t], [rhs - lhs], tol,
         lhs=lhs, rhs=rhs, trapezoid_slack=trap_slack,
@@ -202,7 +193,6 @@ def check_absorbing_ball(
     f_norm_sq: float,
     *,
     dt: float,
-    order: int = 2,
 ) -> BoundReport:
     """Entry into and residence in the ball |u|^2 <= 1 + |f|^2/(mu^2 lambda1^2).
 
@@ -222,7 +212,7 @@ def check_absorbing_ball(
             f"{math.exp(-mu * lambda1 * horizon) * e0:.3e} > ENTRY_TOL = {ENTRY_TOL:g}"
         )
     radius_sq = 1.0 + f_norm_sq / (mu ** 2 * lambda1 ** 2)
-    tol = _scheme_tolerance(dt, order, radius_sq)
+    tol = _scheme_tolerance(dt, radius_sq)
 
     inside = np.flatnonzero(e <= radius_sq)
     if inside.size == 0:
@@ -303,7 +293,6 @@ def monotone_envelope_max_excess(
     f_norm_sq: float,
     *,
     dt: float,
-    order: int = 2,
 ) -> BoundReport:
     """Non-increasing envelope J(t) = E(t) - |f|^2 t/(mu lambda1).
 
@@ -319,6 +308,6 @@ def monotone_envelope_max_excess(
     j = e - f_norm_sq * t / (mu * lambda1)
     jumps = np.diff(j)
     h = np.diff(t)
-    slack = dt ** order * (e[:-1] + f_norm_sq / (mu * lambda1) ** 2 + 1.0) * h + 1e-12
+    slack = dt ** SCHEME_ORDER * (e[:-1] + f_norm_sq / (mu * lambda1) ** 2 + 1.0) * h + 1e-12
     # -(jumps - slack), not slack - jumps: an exact tie reads -0.0
     return _report("monotone_envelope", t[1:], -(jumps - slack), 0.0)

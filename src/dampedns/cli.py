@@ -117,23 +117,22 @@ def _cmd_verify(args) -> int:
     f2 = physics.forcing.norm_sq
     # adaptive runs may step anywhere up to dt_max; scale tolerances to that
     dt = cfg.scheme.dt_max if cfg.scheme.adaptive else cfg.scheme.dt
-    order = cfg.scheme.order
     t0, t1 = records[0].t, records[-1].t
 
     rows = [r.row() for r in (
         check_damping_positivity(records),
-        check_decay_bound(records, physics.mu, lam1, f2, dt=dt, order=order),
-        check_integral_bound(records, t0, t1, physics.mu, physics.alpha, lam1, f2, dt=dt, order=order),
+        check_decay_bound(records, physics.mu, lam1, f2, dt=dt),
+        check_integral_bound(records, t0, t1, physics.mu, physics.alpha, lam1, f2, dt=dt),
     )]
     # a check whose precondition this run does not meet gets a skipped row with the reason
     optional = (
         ("absorbing_ball",
-         lambda: check_absorbing_ball(records, physics.mu, lam1, f2, dt=dt, order=order)),
+         lambda: check_absorbing_ball(records, physics.mu, lam1, f2, dt=dt)),
         ("norm_boundedness",
          lambda: check_norm_boundedness(records, t0 + 0.25 * (t1 - t0), physics.mu, physics.alpha,
                                         physics.beta)),
         ("monotone_envelope",
-         lambda: monotone_envelope_max_excess(records, physics.mu, lam1, f2, dt=dt, order=order)),
+         lambda: monotone_envelope_max_excess(records, physics.mu, lam1, f2, dt=dt)),
     )
     for bound_id, check in optional:
         try:

@@ -136,13 +136,6 @@ class SpectralVelocity:
     def __post_init__(self):
         _check_shape(self.coeffs, self.grid, "velocity")
 
-    def copy(self) -> "SpectralVelocity":
-        return SpectralVelocity(self.grid, self.coeffs.copy())
-
-    @property
-    def norm_h_sq(self) -> float:
-        return h_norm_sq(self.coeffs, self.grid)
-
     def max_coeff(self) -> float:
         return float(np.abs(self.coeffs).max())
 
@@ -186,24 +179,17 @@ class ForcingField:
     directly to the spectral right-hand side.
     """
 
-    def __init__(self, grid: WaveGrid, coeffs: np.ndarray, description: str = "explicit"):
+    def __init__(self, grid: WaveGrid, coeffs: np.ndarray):
         _check_shape(coeffs, grid, "forcing")
         c = np.array(coeffs, dtype=np.complex128, order="C")
         project_coeffs(c, grid)
         self.grid = grid
         self.coeffs = c
-        self.description = description
         self.norm_sq = h_norm_sq(c, grid)
 
     @classmethod
     def zero(cls, grid: WaveGrid) -> "ForcingField":
-        return cls(grid, np.zeros(grid.shape(), np.complex128), "zero")
-
-    @classmethod
-    def from_values(cls, grid: WaveGrid, values: np.ndarray) -> "ForcingField":
-        if values.shape != (3, grid.n, grid.n, grid.n):
-            raise FieldError(f"forcing values have shape {values.shape}")
-        return cls(grid, grid.to_spectral(np.asarray(values, float)), "grid values")
+        return cls(grid, np.zeros(grid.shape(), np.complex128))
 
     @classmethod
     def cylinder(
@@ -249,8 +235,7 @@ class ForcingField:
         if smooth_cells > 0.0:
             sigma = smooth_cells * grid.dx
             c *= np.exp(-0.5 * grid.ksq * sigma ** 2)
-        name = f"cylinder(axis={axis}, r={radius:g}, h={height:g}, g={tuple(force)})"
-        return cls(grid, c, name)
+        return cls(grid, c)
 
 
 # ----------------------------------------------------------------------

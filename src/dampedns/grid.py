@@ -38,8 +38,8 @@ forward x1 pass by x2 row and the forward x2 pass by retained k1 half, which
 also copies its rows into the result block and finishes them there (the
 right-hand side projects them and adds the forcing). The block-wide work
 of a time step outside the pipeline splits the same way
-(:meth:`WaveGrid.by_k1_half`): the IF-RK2 predictor and corrector, the
-post-step projection and the blow-up peak. Each line and each mode still
+(:meth:`WaveGrid.by_k1_half`): the IF-RK2 predictor, and the corrector
+fused with the post-step projection and the blow-up peak. Each line and each mode still
 sees the same transform and the same arithmetic, so results do not depend
 on the split.
 """

@@ -27,7 +27,6 @@ __all__ = [
     "StorageError",
     "make_output_dir",
     "write_atomic",
-    "write_diagnostics",
     "read_diagnostics",
     "DiagnosticsWriter",
     "SnapshotHeader",
@@ -77,14 +76,6 @@ def write_atomic(path: str | Path, what: str, *chunks: bytes) -> None:
 # ----------------------------------------------------------------------
 # diagnostics CSV
 # ----------------------------------------------------------------------
-
-def write_diagnostics(records: list[DiagnosticsRecord], path: str | Path) -> None:
-    """Write records as CSV through :class:`DiagnosticsWriter`, which fills
-    their dEdt in place (idempotent)."""
-    with DiagnosticsWriter(path) as writer:
-        for r in records:
-            writer.append(r)
-
 
 def read_diagnostics(path: str | Path) -> list[DiagnosticsRecord]:
     try:
@@ -261,7 +252,8 @@ def read_snapshot(path: str | Path) -> tuple[SolverState, SnapshotHeader]:
     """Reconstruct a solver state; integrity is verified before returning.
 
     The grid and physics are rebuilt from the header alone. A checksum or
-    format mismatch raises StorageError and no partial state escapes.
+    format mismatch, or a non-finite coefficient, raises StorageError and
+    no partial state escapes.
     """
     header = read_snapshot_header(path)
     try:
@@ -275,6 +267,9 @@ def read_snapshot(path: str | Path) -> tuple[SolverState, SnapshotHeader]:
         raise StorageError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
     if zlib.crc32(blob) != header.checksum:
         raise StorageError(f"{path}: checksum mismatch (corrupted snapshot)")
+    payload = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(payload).all():
+        raise StorageError(f"{path}: non-finite spectral coefficient in the payload")
 
     # compare before building the grid, so a corrupted n allocates nothing
     if header.n_modes != (2 * retained_half_modes(header.n) - 1) ** 3:
@@ -284,7 +279,7 @@ def read_snapshot(path: str | Path) -> tuple[SolverState, SnapshotHeader]:
     except GridError as exc:
         raise StorageError(f"{path}: bad grid in header: {exc}") from exc
     flat, conj = _mode_order(grid)
-    payload = np.frombuffer(blob, dtype="<f8").reshape(3, header.n_modes, 2)
+    payload = payload.reshape(3, header.n_modes, 2)
     vals = payload[..., 0] + 1j * payload[..., 1]
     coeffs = np.zeros((3, grid.mb * grid.mb * grid.kb), np.complex128)
     stored = ~conj

@@ -3,14 +3,13 @@
 The projected system du/dt = -mu A u - B(u,u) - alpha P|u|^(beta-1) u + P f
 is advanced with the viscous term handled exactly per mode through the
 factor exp(-mu |k|^2 dt); the convective, damping and forcing parts are
-explicit. Available schemes: IF-RK2 (integrating-factor Heun, the default)
-and IF-RK4.
+explicit. The scheme is IF-RK2 (integrating-factor Heun).
 
 A step's block-wide work runs in the parts of
 :meth:`~dampedns.grid.WaveGrid.by_k1_half`, each on its own k1 rows of
-every block: the IF-RK2 predictor (into a per-grid workspace), the IF-RK2
-corrector, and for both schemes the post-step projection and the blow-up
-peak. The right-hand side runs its own pipeline in the same parts
+every block: the predictor (into a per-grid workspace), and the corrector
+fused with the post-step projection and the blow-up peak. The right-hand
+side runs its own pipeline in the same parts
 (:func:`~dampedns.operators.nonviscous_rhs`). Every mode sees the same
 arithmetic in either part, so results do not depend on the split.
 """
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e15
-_SCHEME_ORDERS = {"if-rk2": 2, "if-rk4": 4}
+_SCHEME_METHODS = ("if-rk2",)
 
 
 class SolverError(RuntimeError):
@@ -75,18 +74,14 @@ class SchemeConfig:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.method not in _SCHEME_ORDERS:
-            raise ValueError(f"unknown scheme {self.method!r}; choose from {sorted(_SCHEME_ORDERS)}")
+        if self.method not in _SCHEME_METHODS:
+            raise ValueError(f"unknown scheme {self.method!r}; choose from {list(_SCHEME_METHODS)}")
         if not (0.0 < self.dt_min <= self.dt <= self.dt_max < np.inf):
             raise ValueError(
                 f"need 0 < dt_min <= dt <= dt_max < inf, got dt_min={self.dt_min}, dt={self.dt}, dt_max={self.dt_max}"
             )
         if not (0.0 < self.cfl_target <= 1.0):
             raise ValueError(f"cfl_target must lie in (0, 1], got {self.cfl_target}")
-
-    @property
-    def order(self) -> int:
-        return _SCHEME_ORDERS[self.method]
 
 
 @dataclass(frozen=True)
@@ -137,12 +132,11 @@ def step(
     A fixed scheme uses ``scheme.dt``; ``until`` clips either so the step
     does not pass that time.
     The viscous factor exp(-mu |k|^2 dt) is exact per mode; the remaining
-    terms are advanced explicitly at the configured order, all on the
-    retained block. The result is re-projected to keep the field invariants
-    after every step, and a blow-up guard rejects runaway amplitudes, NaN
-    included. An IF-RK2 step allocates only its two right-hand sides, the
-    first of which becomes the result; the predictor and every scratch
-    array are per-grid workspaces.
+    terms are advanced explicitly, all on the retained block. The result is
+    re-projected to keep the field invariants after every step, and a
+    blow-up guard rejects runaway amplitudes, NaN included. A step
+    allocates only its two right-hand sides, the first of which becomes the
+    result; the predictor and every scratch array are per-grid workspaces.
     """
     grid = state.u.grid
     coeffs = state.u.coeffs
@@ -154,53 +148,36 @@ def step(
     if dt <= 0.0:
         raise SolverError(f"nonpositive step dt={dt}")
     peaks = np.full(2, -np.inf)
+    visc = grid.viscous_factor(physics.mu, dt)
+    pred = grid.workspace("step.pred", coeffs.shape)
 
-    def finish(part: int, rows: slice) -> None:
+    def predictor(part: int, rows: slice) -> None:
+        mine = pred[:, rows]
+        np.multiply(k1[:, rows], dt, out=mine)
+        mine += coeffs[:, rows]
+        mine *= visc[rows]
+
+    grid.by_k1_half(predictor)
+    k2, _ = nonviscous_rhs(pred, grid, al, be, f)
+
+    def corrector(part: int, rows: slice) -> None:
+        mine, late = k1[:, rows], k2[:, rows]
+        mine *= 0.5 * dt
+        mine += coeffs[:, rows]
+        mine *= visc[rows]
+        late *= 0.5 * dt
+        mine += late
         # the projection goes through the fields module, as in nonviscous_rhs
-        fields.project_coeffs(out, grid, rows)
-        mine = out[:, rows]
+        fields.project_coeffs(k1, grid, rows)
         mag = grid.workspace(f"step.abs{part}", mine.shape[1:], np.float64)
         peaks[part] = np.max([np.abs(comp, out=mag).max() for comp in mine])
 
-    if scheme.method == "if-rk2":
-        visc = grid.viscous_factor(physics.mu, dt)
-        pred = grid.workspace("step.pred", coeffs.shape)
-
-        def predictor(part: int, rows: slice) -> None:
-            mine = pred[:, rows]
-            np.multiply(k1[:, rows], dt, out=mine)
-            mine += coeffs[:, rows]
-            mine *= visc[rows]
-
-        grid.by_k1_half(predictor)
-        k2, _ = nonviscous_rhs(pred, grid, al, be, f)
-        out = k1
-
-        def corrector(part: int, rows: slice) -> None:
-            mine, late = out[:, rows], k2[:, rows]
-            mine *= 0.5 * dt
-            mine += coeffs[:, rows]
-            mine *= visc[rows]
-            late *= 0.5 * dt
-            mine += late
-            finish(part, rows)
-
-        grid.by_k1_half(corrector)
-    else:  # if-rk4: classical RK4 on the integrating-factor transformed variable
-        e_half = grid.viscous_factor(physics.mu, 0.5 * dt)
-        e_full = e_half * e_half
-        k2 = nonviscous_rhs(e_half * (coeffs + (0.5 * dt) * k1), grid, al, be, f)[0]
-        k3 = nonviscous_rhs(e_half * coeffs + (0.5 * dt) * k2, grid, al, be, f)[0]
-        k4 = nonviscous_rhs(e_full * coeffs + dt * (e_half * k3), grid, al, be, f)[0]
-        out = e_full * (coeffs + (dt / 6.0) * k1)
-        out += (dt / 3.0) * (e_half * (k2 + k3))
-        out += (dt / 6.0) * k4
-        grid.by_k1_half(finish)
+    grid.by_k1_half(corrector)
     t_new = state.t + dt
     peak = float(peaks.max())  # NaN in either part propagates, unlike the builtin max
     if not np.isfinite(peak) or peak > BLOWUP_GUARD:
         raise BlowUpError(t_new, peak)
-    return SolverState(t_new, SpectralVelocity(grid, out), state.step_count + 1, dt)
+    return SolverState(t_new, SpectralVelocity(grid, k1), state.step_count + 1, dt)
 
 
 @dataclass

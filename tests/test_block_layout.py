@@ -100,28 +100,17 @@ def ref_step(t, c, grid, scheme, physics):
     ksq = Full(grid).ksq
     k1, speed = ref_rhs(c, grid, al, be, f)
     dt = _cfl_dt(speed, t, grid, scheme, physics) if scheme.adaptive else scheme.dt
-    if scheme.method == "if-rk2":
-        visc = np.exp((-physics.mu * dt) * ksq)
-        pred = c + dt * k1
-        pred *= visc
-        k2 = ref_rhs(pred, grid, al, be, f)[0]
-        k1 *= 0.5 * dt
-        k1 += c
-        k1 *= visc
-        k2 *= 0.5 * dt
-        k1 += k2
-        out = k1
-    else:
-        e_half = np.exp((-physics.mu * (0.5 * dt)) * ksq)
-        e_full = e_half * e_half
-        k2 = ref_rhs(e_half * (c + (0.5 * dt) * k1), grid, al, be, f)[0]
-        k3 = ref_rhs(e_half * c + (0.5 * dt) * k2, grid, al, be, f)[0]
-        k4 = ref_rhs(e_full * c + dt * (e_half * k3), grid, al, be, f)[0]
-        out = e_full * (c + (dt / 6.0) * k1)
-        out += (dt / 3.0) * (e_half * (k2 + k3))
-        out += (dt / 6.0) * k4
-    ref_project(out, grid)
-    return t + dt, out
+    visc = np.exp((-physics.mu * dt) * ksq)
+    pred = c + dt * k1
+    pred *= visc
+    k2 = ref_rhs(pred, grid, al, be, f)[0]
+    k1 *= 0.5 * dt
+    k1 += c
+    k1 *= visc
+    k2 *= 0.5 * dt
+    k1 += k2
+    ref_project(k1, grid)
+    return t + dt, k1
 
 
 def setup(n, beta):
@@ -236,7 +225,7 @@ class TestAgainstFullReference:
 
     @pytest.mark.parametrize("n", NS)
     @pytest.mark.parametrize("beta", BETAS)
-    @pytest.mark.parametrize("method, adaptive", [("if-rk2", True), ("if-rk2", False), ("if-rk4", False)])
+    @pytest.mark.parametrize("method, adaptive", [("if-rk2", True), ("if-rk2", False)])
     def test_trajectory_bitwise(self, n, beta, method, adaptive):
         grid, u, physics = setup(n, beta)
         scheme = SchemeConfig(method=method, dt=0.02, adaptive=adaptive)
@@ -318,7 +307,7 @@ class TestResultsOwnTheirMemory:
 TRAJECTORY_CASES = [
     pytest.param(method, adaptive, n, beta, 5, id=f"{method}-{adaptive}-{n}-{beta}")
     for n, beta in [(18, 1.0), (32, 3.5), (48, 2.0), (64, 3.5)]
-    for method, adaptive in [("if-rk2", True), ("if-rk2", False), ("if-rk4", False)]
+    for method, adaptive in [("if-rk2", True), ("if-rk2", False)]
 ] + [
     pytest.param("if-rk2", adaptive, 64, 4.0, None, id=f"if-rk2-{adaptive}-64-4.0-default-slab")
     for adaptive in (True, False)
@@ -466,12 +455,10 @@ class TestSplit:
         nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
         assert calls == [(2, 4)] and len(started) == 1
-        # IF-RK2: each RHS pipeline, then the predictor, then the corrector
-        # with the post-step projection and blow-up peak; IF-RK4 shares the last
-        step(SolverState(0.0, u), SchemeConfig(method="if-rk2", dt=0.01, adaptive=False), physics)
+        # each RHS pipeline, then the predictor, then the corrector with the
+        # post-step projection and blow-up peak
+        step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
         assert calls[1:] == [(2, 4), (2, 1), (2, 4), (2, 1)] and len(started) == 5
-        step(SolverState(0.0, u), SchemeConfig(method="if-rk4", dt=0.01, adaptive=False), physics)
-        assert calls[5:] == [(2, 4)] * 4 + [(2, 1)] and len(started) == 10
 
     @pytest.mark.parametrize("n, cpus", [(64, 1), (32, 2), (16, 2)])
     def test_one_part_starts_no_thread(self, monkeypatch, n, cpus):
@@ -485,8 +472,7 @@ class TestSplit:
                                  grid.scatter(physics.forcing.coeffs))
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
-        for method in ("if-rk2", "if-rk4"):
-            step(SolverState(0.0, u), SchemeConfig(method=method, dt=0.01, adaptive=False), physics)
+        step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
         assert started == []
         assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
 

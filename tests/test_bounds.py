@@ -26,7 +26,7 @@ from dampedns import (
     monotone_envelope_max_excess,
     record,
 )
-from dampedns.bounds import BOUND_IDS, REGIME_BY_CHECK
+from dampedns.bounds import REGIME_BY_CHECK
 from dampedns.diagnostics import DiagnosticsRecord
 
 
@@ -75,12 +75,6 @@ class TestReportInvariant:
         rep2 = check_decay_bound(recs, 1.0, 1.0, 0.0, dt=1e-3, tolerance=2.0)
         assert rep2.passed
         assert rep2.min_margin == pytest.approx(math.exp(-1.0) - 2.0)
-
-    def test_bound_ids_closed_set(self):
-        assert set(BOUND_IDS) == {
-            "energy_decay", "energy_integral", "absorbing_ball",
-            "damping_positivity", "norm_boundedness", "monotone_envelope",
-        }
 
     def test_reports_reproducible(self):
         recs = shear_decay_records()

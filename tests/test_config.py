@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dampedns import ConfigError, parse_config
+from dampedns import ConfigError, h_norm_sq, parse_config
 from dampedns.config import (
     build_forcing,
     build_grid,
@@ -109,6 +109,8 @@ class TestRangeChecks:
     def test_scheme_checks_surface_as_config_errors(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[scheme]\nmethod = euler\n")
+        with pytest.raises(ConfigError, match="unknown scheme 'if-rk4'"):
+            parse_config(MINIMAL + "\n[scheme]\nmethod = if-rk4\n")
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "\n[scheme]\ndt = 1.0\ndt_max = 0.1\n")
 
@@ -151,7 +153,7 @@ class TestBuilders:
         physics = build_physics(cfg, grid)
         assert physics.forcing.norm_sq > 0.0
         u0 = build_initial(cfg, grid)
-        assert u0.norm_h_sq == pytest.approx(2.0, abs=1e-12)
+        assert h_norm_sq(u0.coeffs, grid) == pytest.approx(2.0, abs=1e-12)
         state = build_state(cfg, grid)
         assert state.t == 0.0 and state.step_count == 0
 

@@ -152,8 +152,7 @@ class TestDampingTerm:
         # this field; at alpha = 400 the damping term dominates.
         g = WaveGrid(8, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=2, energy=1.0)
-        neg = u.copy()
-        neg.coeffs *= -1.0
+        neg = SpectralVelocity(g, -u.coeffs)
         for beta in (3.0, 5.0):
             d_pos = damping(u, 400.0, beta)
             d_neg = damping(neg, 400.0, beta)

@@ -25,10 +25,11 @@ from dampedns import (
     read_diagnostics,
     read_snapshot,
     record,
-    write_diagnostics,
     write_snapshot,
 )
 from dampedns import storage
+from dampedns.cli import main
+from dampedns.config import build_grid, build_physics, build_state, load_preset
 from dampedns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from dampedns.storage import check_restart_compatible, read_snapshot_header
 
@@ -45,6 +46,12 @@ def fixture_with_header(path, **fields):
     return path
 
 
+def write_csv(records, path):
+    with DiagnosticsWriter(path) as writer:
+        for r in records:
+            writer.append(r)
+
+
 def small_run(n=8, seed=1, t_end=0.2, dt=0.01, stride=2):
     g = WaveGrid(n, 2 * np.pi)
     f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
@@ -59,7 +66,7 @@ def small_run(n=8, seed=1, t_end=0.2, dt=0.01, stride=2):
 class TestDiagnosticsCSV:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_diagnostics([], path)
+        write_csv([], path)
         assert path.read_text() == "t,E,V2,Lbp,A2,P_f,P_damp,dEdt,umax\n"
 
     def test_zero_field_row_of_zeros(self, tmp_path):
@@ -67,14 +74,14 @@ class TestDiagnosticsCSV:
         ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingField.zero(g))
         rec = record(make_initial_condition(g, "zero"), 0.25, ph)
         path = tmp_path / "d.csv"
-        write_diagnostics([rec], path)
+        write_csv([rec], path)
         lines = path.read_text().splitlines()
         assert lines[1] == "0.25,0,0,0,0,0,0,0,0"
 
     def test_round_trip_bit_exact(self, tmp_path):
         _, _, _, _, recs = small_run()
         path = tmp_path / "d.csv"
-        write_diagnostics(recs, path)
+        write_csv(recs, path)
         back = read_diagnostics(path)
         assert len(back) == len(recs)
         for a, b in zip(recs, back):
@@ -84,7 +91,7 @@ class TestDiagnosticsCSV:
         _, _, _, _, recs = small_run()
         batch_path = tmp_path / "batch.csv"
         stream_path = tmp_path / "stream.csv"
-        write_diagnostics(recs, batch_path)
+        write_csv(recs, batch_path)
         with DiagnosticsWriter(stream_path) as w:
             for r in recs:
                 w.append(DiagnosticsRecord(**{**r.__dict__, "dEdt": math.nan}))
@@ -108,7 +115,7 @@ class TestDiagnosticsCSV:
     def test_non_numeric_field_rejected(self, tmp_path):
         _, _, _, _, recs = small_run()
         path = tmp_path / "d.csv"
-        write_diagnostics(recs, path)
+        write_csv(recs, path)
         lines = path.read_text().splitlines()
         lines[2] = "abc" + lines[2][lines[2].index(","):]
         path.write_text("\n".join(lines) + "\n")
@@ -129,7 +136,7 @@ class TestDiagnosticsCSV:
     def test_write_failure_leaves_earlier_csv_untouched(self, tmp_path):
         _, _, _, _, recs = small_run()
         path = tmp_path / "d.csv"
-        write_diagnostics(recs[:2], path)
+        write_csv(recs[:2], path)
         earlier = path.read_bytes()
         w = DiagnosticsWriter(path)
         w.append(recs[0])
@@ -150,7 +157,7 @@ class TestDiagnosticsCSV:
                 1 / 0
         assert not path.exists()
         assert (tmp_path / "d.csv.partial").read_text().startswith(",".join(CSV_COLUMNS))
-        write_diagnostics(recs, path)  # a clean close publishes and leaves no marker
+        write_csv(recs, path)  # a clean close publishes and leaves no marker
         assert read_diagnostics(path) and not (tmp_path / "d.csv.partial").exists()
 
 
@@ -200,6 +207,30 @@ class TestSnapshots:
         path.write_bytes(bytes(blob))
         with pytest.raises(StorageError, match="checksum"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        # the checksum vouches for the bytes, not for the values they hold
+        g, ph, sc, st, _ = small_run()
+        st.u.coeffs[0, 1, 2, 1] = value
+        path = tmp_path / "s.snap"
+        write_snapshot(st, ph, path)
+        with pytest.raises(StorageError, match="non-finite"):
+            read_snapshot(path)
+
+    def test_non_finite_restart_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        cfg = load_preset("decay-shear-b1")
+        grid = build_grid(cfg)
+        state = build_state(cfg, grid)
+        state.u.coeffs[0, 1, 2, 3] = math.nan
+        bad = tmp_path / "bad.snap"
+        write_snapshot(state, build_physics(cfg, grid), bad)
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--preset", "decay-shear-b1", "--restart", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
 
     def test_truncated_rejected(self, tmp_path):
         g, ph, sc, st, _ = small_run()

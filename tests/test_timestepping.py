@@ -13,6 +13,7 @@ from dampedns import (
     SchemeConfig,
     SolverError,
     SolverState,
+    SpectralVelocity,
     WaveGrid,
     integrate,
     make_initial_condition,
@@ -41,8 +42,8 @@ class TestConfigValidation:
             SchemeConfig(cfl_target=0.0)
         with pytest.raises(ValueError):
             SchemeConfig(cfl_target=1.5)
-        assert SchemeConfig().order == 2
-        assert SchemeConfig(method="if-rk4").order == 4
+        with pytest.raises(ValueError, match="if-rk2"):
+            SchemeConfig(method="if-rk4")  # IF-RK2 is the only scheme
 
     def test_physics_ranges(self):
         g = WaveGrid(8, 1.0)
@@ -90,7 +91,7 @@ class TestStep:
         assert st.step_count == 1
         assert np.abs(st.u.coeffs).max() == 0.0
 
-    @pytest.mark.parametrize("method,order", [("if-rk2", 2), ("if-rk4", 4)])
+    @pytest.mark.parametrize("method,order", [("if-rk2", 2)])
     def test_shear_single_step_scalar_ode(self, method, order):
         # On the shear mode the system reduces to c' = -(mu k^2 + alpha) c with
         # the viscous part exact, so one step errs only in the damping factor.
@@ -102,17 +103,17 @@ class TestStep:
         assert abs(got.real - exact) <= 2.0 * (0.2 * dt) ** (order + 1)
         assert abs(got.imag) <= 1e-15
 
-    @pytest.mark.parametrize("method,expect", [("if-rk2", 4.0), ("if-rk4", 16.0)])
+    @pytest.mark.parametrize("method,expect", [("if-rk2", 4.0)])
     def test_richardson_one_step_order(self, method, expect):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=4, energy=1.0)
         f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
         ph = Physics(mu=0.05, alpha=0.5, beta=3.0, forcing=f)
-        h = 0.04 if method == "if-rk2" else 0.16
+        h = 0.04
 
         def run(nsteps):
             sc = SchemeConfig(method=method, dt=h / nsteps, dt_max=h, adaptive=False)
-            st = SolverState(0.0, u.copy())
+            st = SolverState(0.0, u)
             for _ in range(nsteps):
                 st = step(st, sc, ph)
             return st.u.coeffs
@@ -122,7 +123,7 @@ class TestStep:
         e2 = np.abs(run(2) - ref).max()
         assert e1 / e2 == pytest.approx(expect, rel=0.35)
 
-    @pytest.mark.parametrize("method", ["if-rk2", "if-rk4"])
+    @pytest.mark.parametrize("method", ["if-rk2"])
     def test_invariants_hold_after_every_step(self, method):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=5, energy=1.0)
@@ -141,7 +142,7 @@ class TestStep:
         u = make_initial_condition(g, "random", seed=6, energy=1.0)
         ph = Physics(mu=1e-6, alpha=1e-8, beta=1.0, forcing=ForcingField.zero(g))
         for dt in (0.02, 0.01):
-            st = SolverState(0.0, u.copy())
+            st = SolverState(0.0, u)
             e_prev = h_norm_sq(st.u.coeffs, g)
             for _ in range(10):
                 st = step(st, SchemeConfig(dt=dt, adaptive=False), ph)
@@ -152,8 +153,7 @@ class TestStep:
     def test_blowup_guard(self):
         g, u, ph = shear_setup()
         st = SolverState(0.0, u)
-        huge = u.copy()
-        huge.coeffs *= 1e16
+        huge = SpectralVelocity(g, u.coeffs * 1e16)
         with pytest.raises(BlowUpError) as err:
             step(SolverState(0.0, huge), SchemeConfig(dt=1e-3, adaptive=False), ph)
         assert err.value.t > 0.0
@@ -217,10 +217,10 @@ class TestIntegrate:
     def test_shear_decay_matches_exact_energy(self):
         g, u, ph = shear_setup(mu=0.1, alpha=0.2)
         sc = SchemeConfig(dt=1e-3, adaptive=False)
-        e0 = u.norm_h_sq
+        e0 = h_norm_sq(u.coeffs, g)
         out = integrate(SolverState(0.0, u), 1.0, sc, ph)
         exact = e0 * np.exp(-2.0 * (0.1 * g.lambda1 + 0.2) * 1.0)
-        assert out.u.norm_h_sq == pytest.approx(exact, rel=1e-6)
+        assert h_norm_sq(out.u.coeffs, g) == pytest.approx(exact, rel=1e-6)
 
     def test_observer_stride_and_final_capture(self):
         g, u, ph = shear_setup()
