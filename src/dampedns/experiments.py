@@ -92,16 +92,12 @@ def check_sweep(alphas, betas, *, stride: float, steady_tol: float, max_t: float
 
 def check_separation(deltas, *, stride: float, max_t: float) -> None:
     """Raise ValueError unless the amplitudes are non-empty, > 0 and finite,
-    and the horizon is a whole number of strides."""
+    and 0 < stride <= max_t, all finite."""
     if not deltas:
         raise ValueError("trajectory separation needs perturbation amplitudes")
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"perturbation amplitudes must be > 0 and finite, got {tuple(deltas)}")
     _check_horizon(stride, max_t)
-    if not stride_count(max_t, stride)[1]:
-        raise ValueError(
-            f"trajectory separation needs a horizon of whole strides, got max_t={max_t}, stride={stride}"
-        )
 
 
 def check_separation_regime(config: RunConfig) -> None:
@@ -378,9 +374,10 @@ def run_trajectory_separation(
     """Separation d(t) = |u1(t) - u2(t)| of delta-perturbed trajectories.
 
     Requires the uniqueness regime (beta > 3, or beta = 3 with
-    4 alpha mu >= 1) and a horizon of whole strides. The base trajectory is
-    run once with a fixed step and compared, at t = k stride, against one
-    perturbed run per amplitude; the perturbation is a fixed random
+    4 alpha mu >= 1). The base trajectory is run once with a fixed step and
+    compared at every stride end of :func:`_strides` (t = k stride, and
+    t = max_t when the last stride is cut short) against one perturbed run
+    per amplitude; the perturbation is a fixed random
     divergence-free field of unit norm, so d(0) = delta. The ratio test
     sup_t d(t)/delta across amplitudes quantifies uniform continuous
     dependence: a spread within ``RATIO_FACTOR`` means the response scales

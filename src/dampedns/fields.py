@@ -60,13 +60,15 @@ def project_coeffs(coeffs: np.ndarray, grid: WaveGrid, rows: slice | None = None
     is idempotent and preserves Hermitian symmetry. The k = 0 mode is
     zeroed outright (zero-mean constraint).
 
-    ``rows`` limits it to a range of k1 rows of the block (all M by
-    default), as a part of :meth:`WaveGrid.by_k1_half` gets them; the modes
-    do not interact, so projecting the rows range by range gives the bits
-    of one whole-block call. The scratch is a per-grid workspace named by
-    the first row, so calls on disjoint row ranges may run concurrently.
+    ``rows`` limits it to the k1 rows a part of :meth:`WaveGrid.by_k1_half`
+    gets (a part must pass them); without it the whole block goes through
+    that split. The modes do not interact, so the bits do not depend on the
+    split. The scratch is a per-grid workspace named by the first row, so
+    calls on disjoint row ranges may run concurrently.
     """
-    rows = slice(0, grid.mb) if rows is None else rows
+    if rows is None:
+        grid.by_k1_half(lambda part, share: project_coeffs(coeffs, grid, share))
+        return coeffs
     kv, c = grid.kvec[:, rows], coeffs[:, rows]
     div, tmp = grid.workspace(f"project.row{rows.start}", (2,) + kv.shape[1:])
     np.multiply(kv[0], c[0], out=div)

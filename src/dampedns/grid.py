@@ -31,23 +31,23 @@ per grid and allocated on first use.
 
 Once the grid outgrows one slab and the process may run on two CPUs
 (:func:`pipeline_parts`), each of the four stages runs in two halves of
-independent lines, one of them on a second thread. Each half owns whole
-contiguous blocks of the workspace it writes: the inverse c2c passes split
-by component (the velocity, then its curl), the slab loop by x1-plane, the
-forward x1 pass by x2 row and the forward x2 pass by retained k1 half, which
-also copies its rows into the result block and finishes them there (the
-right-hand side projects them and adds the forcing). The block-wide work
-of a time step outside the pipeline splits the same way
-(:meth:`WaveGrid.by_k1_half`): the IF-RK2 predictor, and the corrector
-fused with the post-step projection and the blow-up peak. Each line and each mode still
-sees the same transform and the same arithmetic, so results do not depend
-on the split.
+independent lines, one of them on the process's one pipeline worker
+thread (:func:`_in_parts`). Each half owns whole contiguous blocks of the
+workspace it writes: the inverse c2c passes split by component (the
+velocity, then its curl), the slab loop by x1-plane, the forward x1 pass by
+x2 row and the forward x2 pass by retained k1 half, which also copies its
+rows into the result block and finishes them there (the right-hand side
+projects them and adds the forcing). The block-wide work of a time step
+outside the pipeline splits the same way (:meth:`WaveGrid.by_k1_half`): the
+IF-RK2 predictor, and the corrector fused with the post-step projection and
+the blow-up peak. Each line and each mode still sees the same transform and
+the same arithmetic, so results do not depend on the split.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from typing import Callable
 
@@ -99,8 +99,8 @@ def pipeline_parts(n: int) -> int:
     on two CPUs, else 1. The halves split the inverse c2c passes by
     component, the slab loop by x1-plane, the forward x1 pass by x2 row and
     the forward x2 pass and the block-wide work by retained k1 half. On a
-    one-slab grid the thread start and the handoff at each stage boundary
-    cost more than the second core saves."""
+    one-slab grid the handoff at each stage boundary costs more than the
+    second core saves."""
     return 2 if slab_planes(n) < n and _usable_cpus() >= 2 else 1
 
 
@@ -382,9 +382,9 @@ class WaveGrid:
         """Run ``work(part, rows)`` on the block's k1 rows in
         :func:`pipeline_parts` parts, split by retained k1 half as the
         forward x2 pass of :meth:`transform_pointwise` splits them: rows
-        0..K-1 and K..M-1 side by side in two parts (one of them on a thread
-        started and joined here), or rows 0..M-1 in the calling thread. Each
-        part owns contiguous rows of every block it writes, so mode-wise
+        0..K-1 and K..M-1 side by side in two parts (:func:`_in_parts`; a
+        part must not call this again), or rows 0..M-1 in the calling thread.
+        Each part owns contiguous rows of every block it writes, so mode-wise
         work gives the same bits in either case."""
         halves = len(self._halves)
         _in_parts(pipeline_parts(self.n), [(halves, lambda part, share: work(part, self._k1_rows(share)))])
@@ -404,6 +404,19 @@ class WaveGrid:
         return f"WaveGrid(n={self.n}, length={self.length})"
 
 
+_pool: ThreadPoolExecutor | None = None  # the pipeline worker, made by the first two-part stage
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's worker thread does not exist there."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # absent on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _in_parts(parts: int, stages: list[tuple[int, Callable[[int, slice], None]]]) -> None:
     """Run each stage ``(length, work)`` as ``work(part, share)`` on ``parts``
     (1 or 2) consecutive shares of range(length), one stage after another.
@@ -412,45 +425,28 @@ def _in_parts(parts: int, stages: list[tuple[int, Callable[[int, slice], None]]]
     in :meth:`WaveGrid.by_k1_half`), so that
     each share is a contiguous block of the arrays its part writes.
 
-    Part 0 runs in the calling thread and part 1 on a thread started here
-    and joined before this returns, so no thread outlives the call. A
-    barrier after each stage keeps either part from reading what the other
-    has not yet written. The parts write shared workspaces, so on an
-    exception the barrier is broken, the other part stops by the end of
-    its stage, the caller waits for the worker, and the first exception is
-    raised here.
-
-    One thread serves every stage of a call: a thread started right after
-    another is joined can miss the malloc arena the last one is still
-    releasing and open a new one, and each arena keeps the slab buffers it
-    has freed resident.
+    Part 0 runs in the calling thread and part 1 on the process's one
+    pipeline worker, made by the first two-part stage (a forked child makes
+    its own). A stage ends when both shares are done, so no part reads what
+    the other has not yet written, and no share runs on after an exception:
+    part 0's is raised first, else part 1's. A stage's work must not start
+    another two-part stage, which would wait on the worker it runs on.
     """
     if parts == 1:
         for length, work in stages:
             work(0, slice(0, length))
         return
-    barrier = threading.Barrier(parts)
-    failed: list[BaseException] = []
-
-    def run(part: int) -> None:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dampedns-pipeline")
+    for length, work in stages:
+        half = length // 2
+        other = _pool.submit(work, 1, slice(half, length))
         try:
-            for length, work in stages:
-                work(part, slice(length * part // parts, length * (part + 1) // parts))
-                barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # the other part failed; its exception is raised below
-        except BaseException as exc:  # re-raised in the calling thread
-            failed.append(exc)
-            barrier.abort()
-
-    worker = threading.Thread(target=run, args=(1,), name="dampedns-pipeline")
-    worker.start()
-    try:
-        run(0)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+            work(0, slice(0, half))
+        finally:
+            other.exception()  # waits for part 1's share without raising its exception
+        other.result()
 
 
 def _c2c_inplace(x: np.ndarray, axis: int, inverse: bool = False) -> None:

@@ -113,7 +113,9 @@ def _cfl_dt(speed: float, t: float, grid: WaveGrid, scheme: SchemeConfig, physic
     if speed == 0.0:
         return scheme.dt_max
     dt = scheme.cfl_target * grid.dx / speed
-    dt = min(dt, scheme.cfl_target / (physics.alpha * speed ** (physics.beta - 1.0)))
+    stiffness = physics.alpha * speed ** (physics.beta - 1.0)
+    if stiffness > 0.0:  # it underflows to 0 on a nearly resting flow, which needs no damping limit
+        dt = min(dt, scheme.cfl_target / stiffness)
     return float(min(max(dt, scheme.dt_min), scheme.dt_max))
 
 

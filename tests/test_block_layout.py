@@ -9,6 +9,8 @@ arithmetic on the retained modes only, slab by slab, whatever the slab size.
 """
 
 import math
+import os
+import signal
 import sys
 import threading
 import time
@@ -153,6 +155,16 @@ def record_threads(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", Recorded)
     return started
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Empty the pipeline worker slot for the test, and shut down any
+    worker the test started."""
+    monkeypatch.setattr(grid_module, "_pool", None)
+    yield
+    if grid_module._pool is not None:
+        grid_module._pool.shutdown()
 
 
 def random_block(grid, comps, rng):
@@ -316,13 +328,13 @@ TRAJECTORY_CASES = [
 
 class TestSplit:
     """The pipeline's two halves against the full reference, and the
-    thread that runs the second half."""
+    worker thread that runs the second half."""
 
     @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize("n", [18, 32, 48, 64])  # K = 6, 11 (odd), 16, 22
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("forced", [True, False])
-    def test_rhs_bitwise(self, monkeypatch, parts, n, beta, forced):
+    def test_rhs_bitwise(self, monkeypatch, fresh_pool, parts, n, beta, forced):
         """Slabs of 5 planes put seams in both halves of every grid."""
         set_slab(monkeypatch, n, 5)
         set_cpus(monkeypatch, parts)
@@ -409,7 +421,6 @@ class TestSplit:
         left before joining it would find one of its slabs in progress."""
         set_slab(monkeypatch, 48, 6)  # 4 slabs per half
         set_cpus(monkeypatch, 2)
-        started = record_threads(monkeypatch)
         grid, u, physics = setup(48, 2.0)
         ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, 2.0,
                                  grid.scatter(physics.forcing.coeffs))
@@ -432,36 +443,65 @@ class TestSplit:
             with pytest.raises(ZeroDivisionError, match=f"part {failing}"):
                 nonviscous_rhs(u.coeffs, grid, physics.alpha, 2.0, physics.forcing.coeffs)
             assert running == []
-            assert not any(t.is_alive() for t in started)
+            other = 1 - failing  # its whole slab share ran before the exception came out
+            assert sorted(finished) == list(range(24 * other, 24 * other + 24, 6))
+            grid_module._pool.submit(lambda: None).result(timeout=1.0)  # the worker is idle
             done = list(finished)
             time.sleep(0.05)
             assert finished == done  # and it did not go on afterwards
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 2.0, physics.forcing.coeffs)
         assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
 
-    def test_no_thread_outlives_a_call(self, monkeypatch):
+    def test_one_worker_serves_every_stage(self, monkeypatch, fresh_pool):
         set_cpus(monkeypatch, 2)
         started = record_threads(monkeypatch)
+        grid, u, physics = setup(64, 3.5)  # the set-up projections start the worker
         in_parts = grid_module._in_parts
         calls = []
 
         def checked(parts, stages):
             in_parts(parts, stages)
             calls.append((parts, len(stages)))
-            assert started and not any(t.is_alive() for t in started)
+            assert len(started) == 1 and started[0].is_alive()
 
         monkeypatch.setattr(grid_module, "_in_parts", checked)
-        grid, u, physics = setup(64, 3.5)
         nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
-        assert calls == [(2, 4)] and len(started) == 1
+        assert calls == [(2, 4)]
         # each RHS pipeline, then the predictor, then the corrector with the
         # post-step projection and blow-up peak
         step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
-        assert calls[1:] == [(2, 4), (2, 1), (2, 4), (2, 1)] and len(started) == 5
+        assert calls[1:] == [(2, 4), (2, 1), (2, 4), (2, 1)] and len(started) == 1
+        assert grid_module._pool.submit(threading.current_thread).result() is started[0]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_gets_its_own_worker(self, monkeypatch, fresh_pool):
+        """The parent's worker thread does not exist in a forked child; a
+        child that submitted to it would wait forever."""
+        set_cpus(monkeypatch, 2)
+        grid, u, physics = setup(64, 3.5)
+        args = (u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
+        want, want_speed = nonviscous_rhs(*args)
+        assert grid_module._pool is not None
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit alone, never through pytest
+            code = 1
+            try:
+                got, speed = nonviscous_rhs(*args)
+                code = 0 if np.array_equal(got, want) and speed == want_speed else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's two-part RHS did not finish in 60 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
     @pytest.mark.parametrize("n, cpus", [(64, 1), (32, 2), (16, 2)])
-    def test_one_part_starts_no_thread(self, monkeypatch, n, cpus):
+    def test_one_part_starts_no_thread(self, monkeypatch, fresh_pool, n, cpus):
         """One usable CPU, or a grid that fits in one slab, runs the pipeline
         in the calling thread alone."""
         set_cpus(monkeypatch, cpus)
@@ -473,7 +513,7 @@ class TestSplit:
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
         step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
-        assert started == []
+        assert started == [] and grid_module._pool is None
         assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
 
     def test_repeated_calls_under_frequent_thread_switches(self, monkeypatch):

@@ -100,6 +100,35 @@ class TestRunCommand:
         assert len(times) == len(set(times)) == 7
         assert [r.astuple() for r in read_diagnostics(csv_path)] == [r.astuple() for r in records]
 
+    def test_nearly_resting_flow_runs_to_t_end(self, capsys, tmp_path):
+        """Once max|u| falls below about 1e-35, alpha |u|^(beta-1) underflows
+        to 0 at beta = 10; the step then takes dt_max instead of dividing by it."""
+        cfg = tmp_path / "rest.cfg"
+        cfg.write_text(
+            "[physics]\nmu = 1\nalpha = 0.2\nbeta = 10\n[grid]\nn = 8\nl = 6.283185307179586\n"
+            "[scheme]\ndt_max = 0.1\n"
+            f"[run]\nt_end = 100\nic = random\nic_seed = 3\noutput_dir = {tmp_path}/out\n"
+        )
+        code, rows, err = run_cli(capsys, "run", str(cfg))
+        assert code == 0, err
+        assert rows[-1]["t_end"] == 100.0
+        assert not list((tmp_path / "out").glob("*.partial"))
+
+    def test_snapshot_stride_and_restart_rewrite_the_same_files(self, capsys, tmp_path):
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text(QUICK_CONFIG.replace("adaptive = false", "adaptive = true\ndt_max = 0.02")
+                       + f"snapshot_stride = 5\noutput_dir = {tmp_path}/out\n")
+        assert main(["run", str(cfg)]) == 0
+        out = tmp_path / "out"
+        snaps = sorted(p.name for p in out.glob("*.snap"))
+        assert snaps == [f"quick-{k:08d}.snap" for k in (0, 5, 10, 15)] + ["quick-final.snap"]
+        written = {name: (out / name).read_bytes() for name in snaps}
+        for name in ("quick-final.snap", "quick-00000015.snap"):
+            (out / name).unlink()
+        assert main(["run", str(cfg), "--restart", str(out / "quick-00000010.snap")]) == 0
+        assert sorted(p.name for p in out.glob("*.snap")) == snaps
+        assert {name: (out / name).read_bytes() for name in snaps} == written
+
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(QUICK_CONFIG.replace("beta = 3.0", "beta = 0.5"))
@@ -312,8 +341,7 @@ class TestSeparateCommand:
         assert "uniqueness" in captured.err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--n", "9"), ("--dt", "0"), ("--deltas", "0"), ("--t", "0.02"),
-        ("--t", "0.5 --stride 0.3"),  # horizon not a whole number of strides
+        ("--n", "9"), ("--dt", "0"), ("--deltas", "0"), ("--t", "0.02"),  # --t below the 0.25 stride
     ])
     def test_bad_flag_exits_2(self, capsys, flag, value):
         code = main(["separate", flag, *value.split()])
@@ -348,6 +376,16 @@ class TestSeparateCommand:
         curves = (tmp_path / "separation.csv").read_text().splitlines()
         assert curves[0] == "t,d_0.01,d_0.001"
         assert len(curves) == 4  # header + t in {0, 0.25, 0.5}
+
+    def test_cut_last_stride_ends_on_the_horizon(self, capsys, tmp_path):
+        """Base and perturbed runs both cut their last stride at t = 0.5."""
+        code, rows, err = run_cli(
+            capsys, "separate", "--n", "8", "--t", "0.5", "--stride", "0.3",
+            "--deltas", "1e-2,1e-3", "--out", str(tmp_path / "sep"),
+        )
+        assert code == 0, err
+        curves = (tmp_path / "sep" / "separation.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in curves[1:]] == [0.0, 0.3, 0.5]
 
 
 class TestOutputPath:

@@ -73,17 +73,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="stride <= max_t"):
             check_steady(stride=0.25, steady_tol=1e-6, max_t=0.02)
 
-    def test_separation_horizon_whole_strides(self):
-        with pytest.raises(ValueError, match="whole strides"):
-            check_separation((1e-2,), max_t=0.5, stride=0.3)
-        check_separation((1e-2,), max_t=0.3, stride=0.1)  # 2.9999999999999996 strides
-        check_sweep((0.2,), (1.0,), max_t=0.5, stride=0.3, steady_tol=1e-6)
-
-    def test_separation_runner_refuses_partial_stride(self, no_steps):
-        # the horizon is checked before the first step: no row past max_t
-        with pytest.raises(ValueError, match="whole strides"):
-            run_trajectory_separation(base_config(beta=4.0, n=8), (1e-2,), max_t=0.5, stride=0.3)
-
     def test_one_rule_for_whole_strides(self):
         # within 1e-9 relative of a whole count: that many whole strides,
         # for the separation check and the steady-state loop alike

@@ -172,6 +172,13 @@ class TestAdaptDt:
         sc = SchemeConfig(dt=1e-3, dt_max=0.7, adaptive=True)
         assert step(st, sc, ph).last_dt == 0.7
 
+    def test_underflowed_damping_stiffness_gives_dt_max(self):
+        # alpha * 1e-110 ** 3 underflows to 0.0: no damping limit, not a division by zero
+        g = WaveGrid(8, 2 * np.pi)
+        ph = Physics(mu=1.0, alpha=0.2, beta=4.0, forcing=ForcingField.zero(g))
+        sc = SchemeConfig(dt=1e-3, dt_max=0.1, adaptive=True)
+        assert _cfl_dt(1e-110, 0.0, g, sc, ph) == 0.1
+
     def test_damping_guard_binds(self):
         # max|u| = 1, alpha = 0.5, beta = 3: damping cap is cfl / 0.5
         g = WaveGrid(16, 2 * np.pi)
