@@ -175,7 +175,7 @@ def _cmd_separate(args) -> int:
             base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme,
             initial=replace(base.initial, kind="random", seed=args.seed, energy=args.energy),
         )
-        check_separation(args.deltas, stride=args.stride, max_t=args.t)
+        check_separation(args.deltas, stride=args.stride, max_t=args.t, perturb_seed=args.perturb_seed)
     check_separation_regime(cfg)
     out = make_output_dir(args.out) if args.out else None
     result = run_trajectory_separation(cfg, args.deltas, max_t=args.t, stride=args.stride,

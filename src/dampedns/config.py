@@ -91,7 +91,7 @@ class InitialSpec:
 
     def __post_init__(self):
         with checked("run"):
-            check_initial(self.kind, self.energy, self.amplitude, self.slope)
+            check_initial(self.kind, self.energy, self.amplitude, self.slope, self.seed)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .fields import SpectralVelocity, h_inner, h_norm_sq
-from .timestepping import Physics
+from .timestepping import Physics, SolverError
 
 __all__ = [
     "DiagnosticsRecord",
@@ -58,18 +58,19 @@ def record(u: SpectralVelocity, t: float, physics: Physics) -> DiagnosticsRecord
     grid = u.grid
     c = u.coeffs
     if not np.isfinite(c.view(np.float64)).all():
-        raise ValueError(f"non-finite spectral coefficients at t={t:.6g}: upstream instability")
+        raise SolverError(f"non-finite spectral coefficients at t={t:.6g}: upstream instability")
     w = grid.hermitian_weight
     vol = grid.length ** 3
-    p = c.real ** 2 + c.imag ** 2
-    e = h_norm_sq(c, grid)
-    v2 = vol * float(np.einsum("cxyz,xyz,z->", p, grid.ksq, w))
-    a2 = vol * float(np.einsum("cxyz,xyz,z->", p, grid.ksq2, w))
+    with np.errstate(over="ignore"):  # an overflow is refused below, by the name of its diagnostic
+        p = c.real ** 2 + c.imag ** 2
+        e = h_norm_sq(c, grid)
+        v2 = vol * float(np.einsum("cxyz,xyz,z->", p, grid.ksq, w))
+        a2 = vol * float(np.einsum("cxyz,xyz,z->", p, grid.ksq2, w))
 
-    u_phys = grid.to_physical(c)
-    s2 = u_phys[0] ** 2 + u_phys[1] ** 2 + u_phys[2] ** 2
-    umax = math.sqrt(float(s2.max()))
-    lbp = grid.dx ** 3 * float((s2 ** ((physics.beta + 1.0) / 2.0)).sum())
+        u_phys = grid.to_physical(c)
+        s2 = u_phys[0] ** 2 + u_phys[1] ** 2 + u_phys[2] ** 2
+        umax = math.sqrt(float(s2.max()))
+        lbp = grid.dx ** 3 * float((s2 ** ((physics.beta + 1.0) / 2.0)).sum())
 
     p_f = h_inner(physics.forcing.coeffs, c, grid)
     rec = DiagnosticsRecord(
@@ -78,7 +79,7 @@ def record(u: SpectralVelocity, t: float, physics: Physics) -> DiagnosticsRecord
     )
     for name in ("E", "V2", "Lbp", "A2", "umax"):
         if not math.isfinite(getattr(rec, name)):
-            raise ValueError(f"non-finite diagnostic {name} at t={t:.6g}: upstream instability")
+            raise SolverError(f"non-finite diagnostic {name} at t={t:.6g}: upstream instability")
     return rec
 
 

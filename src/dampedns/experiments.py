@@ -90,13 +90,15 @@ def check_sweep(alphas, betas, *, stride: float, steady_tol: float, max_t: float
     check_steady(stride, steady_tol, max_t)
 
 
-def check_separation(deltas, *, stride: float, max_t: float) -> None:
+def check_separation(deltas, *, stride: float, max_t: float, perturb_seed: int = 7) -> None:
     """Raise ValueError unless the amplitudes are non-empty, > 0 and finite,
-    and 0 < stride <= max_t, all finite."""
+    0 < stride <= max_t, all finite, and perturb_seed >= 0."""
     if not deltas:
         raise ValueError("trajectory separation needs perturbation amplitudes")
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"perturbation amplitudes must be > 0 and finite, got {tuple(deltas)}")
+    if perturb_seed < 0:
+        raise ValueError(f"perturb_seed must be >= 0, got {perturb_seed}")
     _check_horizon(stride, max_t)
 
 
@@ -383,7 +385,7 @@ def run_trajectory_separation(
     dependence: a spread within ``RATIO_FACTOR`` means the response scales
     linearly with the perturbation.
     """
-    check_separation(deltas, stride=stride, max_t=max_t)
+    check_separation(deltas, stride=stride, max_t=max_t, perturb_seed=perturb_seed)
     check_separation_regime(config)
     # lockstep comparison needs a shared dt sequence: force the fixed step
     scheme = replace(config.scheme, adaptive=False)

@@ -281,10 +281,12 @@ def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> S
     return SpectralVelocity(grid, c)
 
 
-def check_initial(kind: str, energy: float, amplitude: float, slope: float) -> None:
-    """Raise FieldError unless ``kind`` (ic) is known, energy >= 0 and every value is finite."""
+def check_initial(kind: str, energy: float, amplitude: float, slope: float, seed: int) -> None:
+    """Raise FieldError unless ``kind`` (ic) is known, energy >= 0, seed >= 0 and every value is finite."""
     if kind not in ("zero", "shear", "random"):
         raise FieldError(f"ic must be zero, shear or random, got {kind!r}")
+    if seed < 0:
+        raise FieldError(f"ic_seed must be >= 0, got {seed}")
     if not 0.0 <= energy < math.inf:
         raise FieldError(f"ic_energy must be >= 0 and finite, got {energy}")
     if not (math.isfinite(amplitude) and math.isfinite(slope)):
@@ -305,7 +307,7 @@ def make_initial_condition(
     ``kind`` is one of ``zero``, ``shear`` or ``random`` (deterministic for
     a fixed seed, scaled so |u0|^2 = energy).
     """
-    check_initial(kind, energy, amplitude, slope)
+    check_initial(kind, energy, amplitude, slope, seed)
     if kind == "zero":
         return _zero(grid)
     if kind == "shear":

@@ -12,36 +12,39 @@ carries its own conjugate pairs and must stay self-conjugate. The block
 never reaches the Nyquist modes.
 
 The real-FFT half-spectrum ``(..., N, N, N//2 + 1)`` exists only inside the
-transforms. :meth:`WaveGrid.gather` and :meth:`WaveGrid.scatter` convert
-between the two layouts: :meth:`WaveGrid.to_spectral` gathers the block of
-an ``rfftn``.
+transforms; :meth:`WaveGrid.gather` and :meth:`WaveGrid.scatter` convert
+between the two layouts.
 
-:meth:`WaveGrid.transform_pointwise` is the pseudo-spectral pipeline of the
-right-hand side: a velocity block -> physical velocity and curl -> a
-pointwise map -> the block of the map's coefficients. It shares the c2c
-passes of the pruned inverse with :meth:`WaveGrid.to_physical` (k1 on the M
-retained k2 columns, then k2 on the K retained k3 columns), then works
-through the grid in slabs of x1-planes (:data:`SLAB_BYTES`): per slab an
-``irfft`` along k3, the pointwise map, and an ``rfft`` along x3 of which
-only the K retained columns are kept. The forward c2c passes then run along
-x1 on those columns and along x2 on the M retained k1 rows only. Every 1D
-transform is one that ``irfftn``/``rfftn`` would run on the same line, so
-the block equals the half-spectrum path bit for bit. Workspaces are kept
-per grid and allocated on first use.
+Each direction has one pruned transform. The inverse
+(:meth:`WaveGrid._inverse_lines`) runs the c2c passes k1 on the M retained
+k2 columns, then k2 on the K retained k3 columns. The forward
+(:meth:`WaveGrid._forward_lines`) works through the grid in slabs of
+x1-planes (:data:`SLAB_BYTES`): per slab an ``rfft`` along x3 of which only
+the K retained columns are kept, scaled by 1/N^3 as pocketfft scales them,
+then the c2c passes along x1 on those columns and along x2 on the M
+retained k1 rows only.
+:meth:`WaveGrid.to_physical` ends the inverse with ``irfft`` along k3 and
+:meth:`WaveGrid.to_spectral` runs the forward on given values.
+:meth:`WaveGrid.transform_pointwise`, the pseudo-spectral pipeline of the
+right-hand side, runs the inverse on a velocity block and its curl, and
+feeds the forward per slab with a pointwise map of that slab's ``irfft``.
+Every 1D transform is one that ``irfftn``/``rfftn`` would run on the same
+line, so results equal the half-spectrum path bit for bit. Workspaces are
+kept per grid and allocated on first use.
 
 Once the grid outgrows one slab and the process may run on two CPUs
-(:func:`pipeline_parts`), each of the four stages runs in two halves of
-independent lines, one of them on the process's one pipeline worker
+(:func:`pipeline_parts`), every stage of both transforms runs in two halves
+of independent lines, one of them on the process's one pipeline worker
 thread (:func:`_in_parts`). Each half owns whole contiguous blocks of the
-workspace it writes: the inverse c2c passes split by component (the
-velocity, then its curl), the slab loop by x1-plane, the forward x1 pass by
-x2 row and the forward x2 pass by retained k1 half, which also copies its
-rows into the result block and finishes them there (the right-hand side
-projects them and adds the forcing). The block-wide work of a time step
-outside the pipeline splits the same way (:meth:`WaveGrid.by_k1_half`): the
-IF-RK2 predictor, and the corrector fused with the post-step projection and
-the blow-up peak. Each line and each mode still sees the same transform and
-the same arithmetic, so results do not depend on the split.
+workspace it writes: the inverse c2c passes split by component, the slab
+loop by x1-plane, the forward x1 pass by x2 row and the forward x2 pass by
+retained k1 half, which also copies its rows into the result block and
+finishes them there (the right-hand side projects them and adds the
+forcing). The block-wide work of a time step outside the transforms splits
+the same way (:meth:`WaveGrid.by_k1_half`): the IF-RK2 predictor, and the
+corrector fused with the post-step projection and the blow-up peak. Each
+line and each mode still sees the same transform and the same arithmetic,
+so results do not depend on the split.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ SLAB_BYTES = 3 << 19
 
 
 def slab_planes(n: int) -> int:
-    """x1-planes per slab of :meth:`WaveGrid.transform_pointwise` on an n^3 grid."""
+    """x1-planes per slab of :meth:`WaveGrid._forward_lines` on an n^3 grid."""
     return max(1, min(n, SLAB_BYTES // (6 * 8 * n * n)))
 
 
@@ -93,14 +96,13 @@ def _usable_cpus() -> int:
 
 
 def pipeline_parts(n: int) -> int:
-    """Halves that :meth:`WaveGrid.transform_pointwise` and
-    :meth:`WaveGrid.by_k1_half` run side by side on an n^3 grid: 2 once the
-    grid outgrows one slab (:func:`slab_planes` < n) and the process may run
-    on two CPUs, else 1. The halves split the inverse c2c passes by
-    component, the slab loop by x1-plane, the forward x1 pass by x2 row and
-    the forward x2 pass and the block-wide work by retained k1 half. On a
-    one-slab grid the handoff at each stage boundary costs more than the
-    second core saves."""
+    """Halves that the transforms and :meth:`WaveGrid.by_k1_half` run side
+    by side on an n^3 grid: 2 once the grid outgrows one slab
+    (:func:`slab_planes` < n) and the process may run on two CPUs, else 1.
+    The halves split the inverse c2c passes by component, the slab loop by
+    x1-plane, the forward x1 pass by x2 row and the forward x2 pass and the
+    block-wide work by retained k1 half. On a one-slab grid the handoff at
+    each stage boundary costs more than the second core saves."""
     return 2 if slab_planes(n) < n and _usable_cpus() >= 2 else 1
 
 
@@ -246,27 +248,14 @@ class WaveGrid:
             arr = self._work[key] = np.zeros(shape, dtype)
         return arr
 
-    def _inverse_lines(
-        self, coeffs: np.ndarray, curl: bool = False,
-    ) -> tuple[np.ndarray, Callable[[int, slice], None]]:
-        """The c2c passes of a block's inverse transform, in place in a
-        per-grid workspace: k1 on the M retained k2 columns, then k2 on the
-        K retained k3 columns.
-
-        With ``curl``, the velocity block (3, M, M, K) goes in together with
-        its curl ik x c, formed one component at a time and copied into the
-        workspace's quadrants, so the workspace holds six components.
-
-        Returns the (c, N, N, N//2+1) workspace and the stage
-        ``components(part, share)`` of :func:`_in_parts` that fills and
-        transforms a share of its components: the velocity components of
-        the share are copied in as one batch, its curl components are
-        formed one at a time, and the share's k1 and k2 passes run on all K
-        columns. A component's lines never meet another component's, and
-        each share is a contiguous block of the workspace. Once every share
-        has run, the workspace is ready for ``irfft`` along k3. Its columns
-        k3 >= K are never written and stay zero; the padding the two passes
-        overwrite is re-zeroed on every call.
+    def _inverse_lines(self, coeffs: np.ndarray, curl: bool = False) -> np.ndarray:
+        """The c2c passes of the pruned inverse, in place in a per-grid
+        workspace, which is returned ready for ``irfft`` along k3:
+        (c, N, N, N//2+1). With ``curl``, the velocity block (3, M, M, K) goes
+        in together with its curl ik x c, formed one component at a time, so
+        the workspace holds six components. A part's share is a contiguous
+        block of components. Columns k3 >= K are never written and stay
+        zero; the padding the passes overwrite is re-zeroed on every call.
         """
         comps, kb = coeffs.shape[0], self.kb
         work = self.workspace("inverse", (2 * comps if curl else comps, self.n, self.n, self.nk))
@@ -293,61 +282,30 @@ class WaveGrid:
             cols[:, :, self._pad] = 0.0
             _c2c_inplace(cols, -2, inverse=True)
 
-        return work, components
+        _in_parts(pipeline_parts(self.n), [(len(work), components)])
+        return work
 
-    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Block coefficients (c, M, M, K) -> real collocation values (c, N, N, N).
-
-        The transform is pruned (:meth:`_inverse_lines`, then ``irfft``
-        along k3) and bitwise equal to ``irfftn`` of the scattered block,
-        which runs the same 1D transforms in the same axis order. It runs
-        in the calling thread alone, on any grid. The per-grid workspaces
-        make concurrent calls on one grid unsafe.
-        """
-        lines, inverse = self._inverse_lines(coeffs)
-        inverse(0, slice(0, len(lines)))
-        return _fft.irfft(lines, n=self.n, axis=-1, norm="forward", workers=FFT_WORKERS)
-
-    def transform_pointwise(
-        self, coeffs: np.ndarray, fn: Callable[[int, int, np.ndarray, np.ndarray], None],
+    def _forward_lines(
+        self, comps: int, planes: Callable[[int, int, int], np.ndarray],
         finish: Callable[[np.ndarray, slice], None],
     ) -> np.ndarray:
-        """Velocity block (3, M, M, K) -> the block (3, M, M, K) of a
-        pointwise map of the velocity and its curl, slab by slab.
-
-        ``fn(part, lo, values, out)`` gets the real values (6, p, N, N) of
-        the x1-planes lo..lo+p-1 (:func:`slab_planes` of them or fewer), the
-        velocity and then its curl, may overwrite them, and fills ``out``
-        (3, p, N, N). The pipeline runs in :func:`pipeline_parts` halves:
-        ``part`` names the half of a call. One half's calls run in plane
-        order on one thread, while the other half's may run at the same time
-        on another, so ``fn`` keeps per-part state apart.
-        ``finish(block, rows)`` then acts on the k1 rows ``rows`` of the
-        result block that its part has just filled, in place and on those
-        rows alone (:meth:`by_k1_half`): once per part, on all M rows when
-        there is one part.
-
-        Before ``finish``, the result equals
-        ``gather(rfftn(fn(irfftn(scatter([c, ik x c]))), norm="forward"))``
-        bit for bit, whatever the slab size or the number of parts: the same
-        1D transforms in the same axis order, with the 1/N^3 factor applied
-        after the x3 transform as pocketfft applies it. The result is a new
-        array; the workspaces make concurrent calls on one grid unsafe.
+        """The new block (comps, M, M, K) of the real values that
+        ``planes(part, lo, hi)`` returns as (comps, hi - lo, N, N) for the
+        x1-planes lo..hi-1, :func:`slab_planes` of them or fewer. One part's
+        calls run in plane order on one thread, while the other part's may
+        run at the same time on another. ``finish(block, rows)`` then acts in
+        place on the k1 rows its part has just filled, on those rows alone
+        (:meth:`by_k1_half`): once per part, on all M rows in one part.
         """
         n, kb = self.n, self.kb
-        lines, inverse = self._inverse_lines(coeffs, curl=True)
-        planes = slab_planes(n)
-        spec = self.workspace("forward.k3", (3, n, n, kb))
+        step = slab_planes(n)
+        spec = self.workspace("forward.k3", (comps, n, n, kb))
         spec_re = spec.view(np.float64)
 
-        def slabs(part: int, rows: slice) -> None:
-            slab = self.workspace(f"forward.slab{part}", (3, planes, n, n), np.float64)
-            for lo in range(rows.start, rows.stop, planes):
-                hi = min(lo + planes, rows.stop)
-                out = slab[:, :hi - lo]
-                fn(part, lo, _fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS),
-                   out)
-                half = _fft.rfft(out, axis=-1, workers=FFT_WORKERS)
+        def slabs(part: int, x1: slice) -> None:
+            for lo in range(x1.start, x1.stop, step):
+                hi = min(lo + step, x1.stop)
+                half = _fft.rfft(planes(part, lo, hi), axis=-1, workers=FFT_WORKERS)
                 np.multiply(half[..., :kb].view(np.float64), self._fwd_scale, out=spec_re[:, lo:hi])
 
         block = None
@@ -355,7 +313,7 @@ class WaveGrid:
         def x1_lines(part: int, x2: slice) -> None:
             nonlocal block
             if part == 0:  # allocated once the slabs' temporaries are freed, so it can reuse their memory
-                block = np.empty(self.shape(), spec.dtype)
+                block = np.empty(self.shape(comps), spec.dtype)
             _c2c_inplace(spec[:, :, x2], -3)
 
         def x2_lines(part: int, halves: slice) -> None:
@@ -366,10 +324,49 @@ class WaveGrid:
                     block[:, b1, b2] = rows[:, :, f2]
             finish(block, self._k1_rows(halves))
 
-        _in_parts(pipeline_parts(n), [
-            (len(lines), inverse), (n, slabs), (n, x1_lines), (len(self._halves), x2_lines),
-        ])
+        _in_parts(pipeline_parts(n), [(n, slabs), (n, x1_lines), (len(self._halves), x2_lines)])
         return block
+
+    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
+        """Block coefficients (c, M, M, K) -> real collocation values
+        (c, N, N, N), bitwise equal to ``irfftn`` of the scattered block.
+        The per-grid workspaces make concurrent calls on one grid unsafe."""
+        return _fft.irfft(self._inverse_lines(coeffs), n=self.n, axis=-1, norm="forward", workers=FFT_WORKERS)
+
+    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        """Real collocation values (..., N, N, N) -> their block (..., M, M, K),
+        bitwise equal to the gathered ``rfftn`` with ``norm="forward"``."""
+        lines = values.reshape((-1,) + (self.n,) * 3)
+        block = self._forward_lines(len(lines), lambda part, lo, hi: lines[:, lo:hi], lambda *_: None)
+        return block.reshape(values.shape[:-3] + block.shape[1:])
+
+    def transform_pointwise(
+        self, coeffs: np.ndarray, fn: Callable[[int, int, np.ndarray, np.ndarray], None],
+        finish: Callable[[np.ndarray, slice], None],
+    ) -> np.ndarray:
+        """Velocity block (3, M, M, K) -> the block (3, M, M, K) of a
+        pointwise map of the velocity and its curl, slab by slab.
+
+        ``fn(part, lo, values, out)`` gets the real values (6, p, N, N) of
+        the x1-planes lo..lo+p-1, the velocity and then its curl, may
+        overwrite them, and fills ``out`` (3, p, N, N). ``part`` names the
+        :func:`pipeline_parts` half of a call, so ``fn`` can keep per-part
+        state apart. ``finish`` is that of :meth:`_forward_lines`.
+
+        Before ``finish``, the result equals
+        ``gather(rfftn(fn(irfftn(scatter([c, ik x c]))), norm="forward"))``
+        bit for bit, whatever the slab size or the number of parts. The
+        workspaces make concurrent calls on one grid unsafe.
+        """
+        n = self.n
+        lines = self._inverse_lines(coeffs, curl=True)
+
+        def planes(part: int, lo: int, hi: int) -> np.ndarray:
+            out = self.workspace(f"forward.slab{part}", (3, slab_planes(n), n, n), np.float64)[:, :hi - lo]
+            fn(part, lo, _fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS), out)
+            return out
+
+        return self._forward_lines(3, planes, finish)
 
     def _k1_rows(self, halves: slice) -> slice:
         """Block rows of a share of the retained k1 halves: 0..K-1 for the
@@ -381,17 +378,13 @@ class WaveGrid:
     def by_k1_half(self, work: Callable[[int, slice], None]) -> None:
         """Run ``work(part, rows)`` on the block's k1 rows in
         :func:`pipeline_parts` parts, split by retained k1 half as the
-        forward x2 pass of :meth:`transform_pointwise` splits them: rows
+        forward x2 pass of :meth:`_forward_lines` splits them: rows
         0..K-1 and K..M-1 side by side in two parts (:func:`_in_parts`; a
         part must not call this again), or rows 0..M-1 in the calling thread.
         Each part owns contiguous rows of every block it writes, so mode-wise
         work gives the same bits in either case."""
         halves = len(self._halves)
         _in_parts(pipeline_parts(self.n), [(halves, lambda part, share: work(part, self._k1_rows(share)))])
-
-    def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Real collocation values -> their retained block (batched over leading axes)."""
-        return self.gather(_fft.rfftn(values, axes=(-3, -2, -1), norm="forward", workers=FFT_WORKERS))
 
     # ------------------------------------------------------------------
     # coordinates
@@ -421,9 +414,9 @@ def _in_parts(parts: int, stages: list[tuple[int, Callable[[int, slice], None]]]
     """Run each stage ``(length, work)`` as ``work(part, share)`` on ``parts``
     (1 or 2) consecutive shares of range(length), one stage after another.
     A stage's range indexes the axis it splits along (components, x1-planes,
-    x2 rows or k1 halves in :meth:`WaveGrid.transform_pointwise`, k1 halves
-    in :meth:`WaveGrid.by_k1_half`), so that
-    each share is a contiguous block of the arrays its part writes.
+    x2 rows or k1 halves in the transforms, k1 halves in
+    :meth:`WaveGrid.by_k1_half`), so that each share is a contiguous block
+    of the arrays its part writes.
 
     Part 0 runs in the calling thread and part 1 on the process's one
     pipeline worker, made by the first two-part stage (a forked child makes

@@ -196,9 +196,13 @@ class TestBlockGeometry:
 
 
 class TestPrunedInverse:
-    def test_alternating_fields_and_grids(self):
-        """Stale workspace padding would show up as a mismatch on a later call."""
-        grids = [WaveGrid(16, 2 * np.pi), WaveGrid(18, 1.0)]
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_alternating_fields_and_grids(self, monkeypatch, cpus):
+        """Stale workspace padding would show up as a mismatch on a later
+        call. n = 48 and 64 run in two parts on two CPUs."""
+        set_cpus(monkeypatch, cpus)
+        grids = [WaveGrid(16, 2 * np.pi), WaveGrid(18, 1.0), WaveGrid(48, 1.0), WaveGrid(64, 2 * np.pi)]
+        assert [pipeline_parts(g.n) for g in grids] == [1, 1, cpus, cpus]
         rng = np.random.default_rng(3)
         for rnd in range(3):
             for grid in grids:
@@ -212,16 +216,29 @@ class TestPrunedInverse:
                     got = grid.to_physical(grid.gather(full))
                     assert got.shape == (comps, n, n, n)
                     assert np.array_equal(got, ref), (rnd, n, comps)
+                    back = grid.gather(sfft.rfftn(ref, axes=(-3, -2, -1), norm="forward"))
+                    assert np.array_equal(grid.to_spectral(ref), back), (rnd, n, comps)
 
     def test_state_equals_irfftn_of_scatter(self):
         grid, u, _ = setup(16, 2.0)
         ref = sfft.irfftn(grid.scatter(u.coeffs), s=(16,) * 3, axes=(-3, -2, -1), norm="forward")
         assert np.array_equal(grid.to_physical(u.coeffs), ref)
 
-    def test_to_spectral_is_gathered_rfftn(self):
-        grid = WaveGrid(18, 1.0)
-        x = np.random.default_rng(7).standard_normal((3, 18, 18, 18))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [18, 48, 64])
+    def test_to_spectral_is_gathered_rfftn(self, monkeypatch, cpus, n):
+        set_cpus(monkeypatch, cpus)
+        grid = WaveGrid(n, 1.0)
+        x = np.random.default_rng(7).standard_normal((3, n, n, n))
         assert np.array_equal(grid.to_spectral(x), grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_to_spectral_batches_leading_axes(self, shape):
+        grid = WaveGrid(16, 1.0)
+        x = np.random.default_rng(8).standard_normal(shape + (16, 16, 16))
+        got = grid.to_spectral(x)
+        assert got.shape == shape + grid.shape(1)[1:]
+        assert np.array_equal(got, grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
 
 
 class TestAgainstFullReference:
@@ -465,13 +482,13 @@ class TestSplit:
             assert len(started) == 1 and started[0].is_alive()
 
         monkeypatch.setattr(grid_module, "_in_parts", checked)
-        nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
+        nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)  # inverse, then forward
         grid.to_physical(u.coeffs)
-        assert calls == [(2, 4)]
+        assert calls == [(2, 1), (2, 3), (2, 1)]
         # each RHS pipeline, then the predictor, then the corrector with the
         # post-step projection and blow-up peak
         step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
-        assert calls[1:] == [(2, 4), (2, 1), (2, 4), (2, 1)] and len(started) == 1
+        assert calls[3:] == [(2, 1), (2, 3), (2, 1)] * 2 and len(started) == 1
         assert grid_module._pool.submit(threading.current_thread).result() is started[0]
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")

@@ -129,6 +129,18 @@ class TestRunCommand:
         assert sorted(p.name for p in out.glob("*.snap")) == snaps
         assert {name: (out / name).read_bytes() for name in snaps} == written
 
+    def test_nonfinite_diagnostic_exits_1_and_keeps_partial_csv(self, capsys, tmp_path):
+        """|u|^(beta+1) overflows at beta = 100: the first record is refused in one error line."""
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            "[physics]\nmu = 1\nalpha = 0.5\nbeta = 100\n[grid]\nn = 8\nl = 6.283185307179586\n"
+            f"[run]\nt_end = 0.01\nic = random\nic_energy = 1e8\noutput_dir = {tmp_path}/out\n"
+        )
+        code, rows, err = run_cli(capsys, "run", str(cfg))
+        assert code == 1 and rows == []
+        assert err == "error: non-finite diagnostic Lbp at t=0: upstream instability\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run.csv.partial"]
+
     def test_invalid_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(QUICK_CONFIG.replace("beta = 3.0", "beta = 0.5"))
@@ -342,12 +354,14 @@ class TestSeparateCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--n", "9"), ("--dt", "0"), ("--deltas", "0"), ("--t", "0.02"),  # --t below the 0.25 stride
+        ("--seed", "-3"), ("--perturb-seed", "-3"),
     ])
     def test_bad_flag_exits_2(self, capsys, flag, value):
         code = main(["separate", flag, *value.split()])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
 
     def test_regime_violation_creates_no_output(self, capsys, tmp_path):
         out = tmp_path / "o2"

@@ -131,6 +131,10 @@ class TestRangeChecks:
         with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
             parse_config(text)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^\[run\] ic_seed must be >= 0, got -1$"):
+            parse_config(MINIMAL + "\n[run]\nic = random\nic_seed = -1\n")
+
     def test_replace_is_checked(self):
         with pytest.raises(ConfigError, match=r"^\[grid\] n must be an even integer"):
             replace(parse_config(MINIMAL), n=9)

@@ -11,6 +11,7 @@ from dampedns import (
     Observer,
     Physics,
     SchemeConfig,
+    SolverError,
     SolverState,
     WaveGrid,
     energy_balance_residual,
@@ -109,7 +110,7 @@ class TestRecord:
         g = WaveGrid(8, 1.0)
         u = make_initial_condition(g, "shear", amplitude=1.0)
         u.coeffs[0, 0, 1, 0] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(SolverError, match="non-finite"):
             record(u, 0.0, physics_for(g))
 
 
