@@ -168,7 +168,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_separate(args) -> int:
     base = load_preset("cylinder-a02-b1")
-    with checked("separate"):
+    flags = {"ic_seed": "--seed", "ic_energy": "--energy", "perturb_seed": "--perturb-seed"}
+    with checked("separate", flags):
         # a fixed step never reads dt_max; it only has to bound dt
         scheme = replace(base.scheme, dt=args.dt, dt_max=max(base.scheme.dt_max, args.dt))
         cfg = replace(

@@ -4,7 +4,9 @@ Format: INI-like sections ``[physics] [grid] [forcing] [scheme] [run]``
 with one ``key = value`` pair per line and ``#`` comments. Unknown keys are
 errors (no silent defaults for misspellings). Syntax and type errors carry
 the line number. Range errors name the section: the dataclasses call the
-owning module's check whenever they are built, ``replace`` included.
+owning module's check whenever they are built, ``replace`` included. An
+``InitialSpec`` leaves the section to its builder, which names ``[run]``
+or, in ``separate``, the flag that set the value.
 Defaults live on the dataclasses.
 
 Keys and defaults
@@ -54,14 +56,21 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def checked(section: str):
-    """Re-raise the ValueError of an owner's check as ConfigError("[section] message")."""
+def checked(section: str, flags: dict[str, str] | None = None):
+    """Re-raise the ValueError of an owner's check as ConfigError("[section] message").
+
+    ``flags`` maps a key that the message may name to the command-line flag
+    that set it, so the error names what the user typed.
+    """
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        message = str(exc)
+        for key, flag in (flags or {}).items():
+            message = message.replace(key, flag)
+        raise ConfigError(f"[{section}] {message}") from None
 
 
 @dataclass(frozen=True)
@@ -90,8 +99,8 @@ class InitialSpec:
     slope: float = -4.0
 
     def __post_init__(self):
-        with checked("run"):
-            check_initial(self.kind, self.energy, self.amplitude, self.slope, self.seed)
+        # unwrapped: who builds it from user input names the section, or the flags
+        check_initial(self.kind, self.energy, self.amplitude, self.slope, self.seed)
 
 
 @dataclass(frozen=True)
@@ -215,8 +224,10 @@ def parse_config(text: str) -> RunConfig:
 
     with checked("scheme"):
         scheme = SchemeConfig(**kwargs["scheme"])
-    return RunConfig(**top, forcing=ForcingSpec(**kwargs["forcing"]),
-                     initial=InitialSpec(**initial), scheme=scheme)
+    forcing = ForcingSpec(**kwargs["forcing"])
+    with checked("run"):
+        ic = InitialSpec(**initial)
+    return RunConfig(**top, forcing=forcing, initial=ic, scheme=scheme)
 
 
 # ----------------------------------------------------------------------

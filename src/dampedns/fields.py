@@ -259,12 +259,23 @@ def _shear(grid: WaveGrid, amplitude: float) -> SpectralVelocity:
 def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> SpectralVelocity:
     """Seeded random divergence-free field scaled to |u|^2 = energy.
 
+    Each retained mode takes one complex Gaussian per component, the real
+    and imaginary parts of all three being six consecutive standard normals
+    of one stream drawn in :attr:`WaveGrid.shell_order`. The draws for the
+    block at n are thus a prefix of those at any larger n: one seed gives
+    the same field on the common modes at every n, up to the energy scale.
+    The k3 = 0 plane is made self-conjugate by
+    c <- (c + conj c(-m1, -m2, 0)) / sqrt(2), which keeps each mode's variance.
     Per-mode energy follows |u_hat(k)|^2 ~ |k|^slope before projection;
     negative slopes concentrate energy at large scales.
     """
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    c = grid.to_spectral(noise)
+    order = grid.shell_order
+    draws = rng.standard_normal((order.size, 3, 2)).view(np.complex128)[..., 0]
+    c = np.empty(grid.shape(), np.complex128)
+    c.reshape(3, -1)[:, order] = draws.T
+    plane, neg = c[..., 0], grid._negated
+    plane[:] = (plane + np.conj(plane[:, neg][:, :, neg])) / math.sqrt(2.0)
     kmag = np.sqrt(grid.ksq)
     k0 = 2.0 * np.pi / grid.length
     amp = np.zeros_like(kmag)

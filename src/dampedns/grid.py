@@ -205,6 +205,18 @@ class WaveGrid:
     def ikvec(self) -> np.ndarray:
         return 1j * self.kvec
 
+    @cached_property
+    def shell_order(self) -> np.ndarray:
+        """Flat block indices shell by shell, s = max(|m1|, |m2|, m3) = 0..K-1,
+        and within a shell in block order. Block order ranks the modes of an
+        axis 0, 1, 2, ..., then the negative ones from the most negative up,
+        which ranks two modes alike at every K. So the first (2s+1)^2 (s+1)
+        entries list the block of K = s + 1 in its own shell order."""
+        small = np.min_scalar_type(self.kb)  # so that the stable sort is a radix sort
+        a, h = np.abs(self.modes).astype(small), self.modes_half.astype(small)
+        shell = np.maximum(np.maximum(a[:, None, None], a[None, :, None]), h)
+        return np.argsort(shell, axis=None, kind="stable")
+
     def shape(self, components: int = 3) -> tuple[int, ...]:
         """Shape of ``components`` coefficient arrays: the retained block (c, M, M, K)."""
         return (components, self.mb, self.mb, self.kb)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dampedns import WaveGrid, ForcingField, FieldError, make_initial_condition
+from dampedns import grid as grid_module
 from dampedns.fields import (
     SpectralVelocity,
     divergence_max,
@@ -11,6 +12,7 @@ from dampedns.fields import (
     h_norm_sq,
     hermitian_defect,
 )
+from dampedns.grid import pipeline_parts
 
 
 @pytest.fixture
@@ -79,6 +81,52 @@ class TestInitialConditions:
     def test_unknown_kind(self, grid):
         with pytest.raises(FieldError):
             make_initial_condition(grid, "vortex")
+
+
+class TestRandomGenerator:
+    """The random field is drawn per retained mode, shell by shell, so the
+    block at n is the truncation of the block at any larger n."""
+
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_block_is_truncation_of_larger_block(self, n):
+        big, small = WaveGrid(64, 2 * np.pi), WaveGrid(n, 2 * np.pi)
+        u = make_initial_condition(small, "random", seed=9, energy=1.0).coeffs
+        whole = make_initial_condition(big, "random", seed=9, energy=1.0).coeffs
+        axis = np.r_[0:small.kb, big.mb - small.kb + 1:big.mb]  # big-block index of each small-block mode
+        common = whole[:, axis][:, :, axis][..., :small.kb]
+        factor = np.vdot(common, u).real / np.vdot(common, common).real  # the two energy scales
+        assert factor > 0.0
+        assert np.abs(u - factor * common).max() <= 1e-13 * np.abs(u).max()
+
+    def test_bits_do_not_depend_on_cpu_count(self, monkeypatch):
+        # at n = 48 the projection runs in two parts when two CPUs are usable
+        fields = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(grid_module, "_usable_cpus", lambda: cpus)
+            assert pipeline_parts(48) == cpus
+            fields.append(make_initial_condition(WaveGrid(48, 2 * np.pi), "random", seed=4, energy=2.0).coeffs)
+        assert np.array_equal(fields[0], fields[1])
+
+    @pytest.mark.parametrize("n", [8, 16, 48])
+    def test_k3_zero_plane_is_hermitian_and_mean_is_zero(self, n):
+        g = WaveGrid(n, 3.0)
+        c = make_initial_condition(g, "random", seed=2, energy=1.0).coeffs
+        assert hermitian_defect(c, g) == 0.0
+        assert np.abs(c[:, 0, 0, 0]).max() == 0.0
+        assert np.abs(c).max() > 0.0
+
+    def test_shell_order_lists_smaller_blocks_first(self):
+        big = WaveGrid(64, 1.0)
+
+        def modes(g):
+            i1, i2, i3 = np.unravel_index(g.shell_order, g.shape()[1:])
+            return np.stack([g.modes[i1], g.modes[i2], g.modes_half[i3]], axis=1)
+        listed = modes(big)
+        for n in (4, 16, 48):
+            small = modes(WaveGrid(n, 1.0))
+            assert np.array_equal(listed[:len(small)], small)
+        shell = np.abs(listed).max(axis=1)
+        assert np.all(np.diff(shell) >= 0)
 
 
 class TestValidation:
