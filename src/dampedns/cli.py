@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = load_preset("cylinder-a02-b1")
-    with checked("sweep"):
+    with checked("sweep", {"max_t": "--max-t", "stride": "--stride", "steady_tol": "--steady-tol"}):
         # an adaptive step never reads dt; it only has to lie within [dt_min, dt_max]
         scheme = replace(base.scheme, dt=min(base.scheme.dt, args.dt_max), dt_max=args.dt_max)
         cfg = replace(base, n=args.n, mu=args.mu, scheme=scheme, output_dir=args.out)
@@ -168,7 +168,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_separate(args) -> int:
     base = load_preset("cylinder-a02-b1")
-    flags = {"ic_seed": "--seed", "ic_energy": "--energy", "perturb_seed": "--perturb-seed"}
+    flags = {"ic_seed": "--seed", "ic_energy": "--energy", "perturb_seed": "--perturb-seed",
+             "max_t": "--t", "stride": "--stride"}
     with checked("separate", flags):
         # a fixed step never reads dt_max; it only has to bound dt
         scheme = replace(base.scheme, dt=args.dt, dt_max=max(base.scheme.dt_max, args.dt))

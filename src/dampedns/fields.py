@@ -60,14 +60,14 @@ def project_coeffs(coeffs: np.ndarray, grid: WaveGrid, rows: slice | None = None
     is idempotent and preserves Hermitian symmetry. The k = 0 mode is
     zeroed outright (zero-mean constraint).
 
-    ``rows`` limits it to the k1 rows a part of :meth:`WaveGrid.by_k1_half`
-    gets (a part must pass them); without it the whole block goes through
-    that split. The modes do not interact, so the bits do not depend on the
-    split. The scratch is a per-grid workspace named by the first row, so
-    calls on disjoint row ranges may run concurrently.
+    ``rows`` limits it to those k1 rows, as :meth:`WaveGrid.by_k1_half`
+    hands them out; without it the whole block goes through
+    :meth:`WaveGrid.by_k1_half`. The modes do not interact, so the bits do
+    not depend on the rows. The scratch is a per-grid workspace named by the
+    first row, so calls on disjoint row ranges may run concurrently.
     """
     if rows is None:
-        grid.by_k1_half(lambda part, share: project_coeffs(coeffs, grid, share))
+        grid.by_k1_half(lambda share: project_coeffs(coeffs, grid, share))
         return coeffs
     kv, c = grid.kvec[:, rows], coeffs[:, rows]
     div, tmp = grid.workspace(f"project.row{rows.start}", (2,) + kv.shape[1:])

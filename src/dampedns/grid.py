@@ -38,13 +38,14 @@ of independent lines, one of them on the process's one pipeline worker
 thread (:func:`_in_parts`). Each half owns whole contiguous blocks of the
 workspace it writes: the inverse c2c passes split by component, the slab
 loop by x1-plane, the forward x1 pass by x2 row and the forward x2 pass by
-retained k1 half, which also copies its rows into the result block and
-finishes them there (the right-hand side projects them and adds the
-forcing). The block-wide work of a time step outside the transforms splits
-the same way (:meth:`WaveGrid.by_k1_half`): the IF-RK2 predictor, and the
-corrector fused with the post-step projection and the blow-up peak. Each
-line and each mode still sees the same transform and the same arithmetic,
-so results do not depend on the split.
+retained k1 half, which also finishes its rows of the result block. The
+block-wide work of a time step splits the same way
+(:meth:`WaveGrid.by_k1_half`). Each line and each mode still sees the same
+transform and the same arithmetic, so results do not depend on the split.
+The split is known here alone: a callback gets a slab or a range of k1
+rows, never a part. It takes scratch from its own slab or a workspace
+named by its first row, and keeps a peak as one value per call in a list
+(``list.append`` is atomic), reduced by ``np.max`` so that NaN propagates.
 """
 
 from __future__ import annotations
@@ -99,10 +100,8 @@ def pipeline_parts(n: int) -> int:
     """Halves that the transforms and :meth:`WaveGrid.by_k1_half` run side
     by side on an n^3 grid: 2 once the grid outgrows one slab
     (:func:`slab_planes` < n) and the process may run on two CPUs, else 1.
-    The halves split the inverse c2c passes by component, the slab loop by
-    x1-plane, the forward x1 pass by x2 row and the forward x2 pass and the
-    block-wide work by retained k1 half. On a one-slab grid the handoff at
-    each stage boundary costs more than the second core saves."""
+    On a one-slab grid the handoff at each stage boundary costs more than
+    the second core saves."""
     return 2 if slab_planes(n) < n and _usable_cpus() >= 2 else 1
 
 
@@ -353,17 +352,18 @@ class WaveGrid:
         return block.reshape(values.shape[:-3] + block.shape[1:])
 
     def transform_pointwise(
-        self, coeffs: np.ndarray, fn: Callable[[int, int, np.ndarray, np.ndarray], None],
+        self, coeffs: np.ndarray, fn: Callable[[int, np.ndarray, np.ndarray], None],
         finish: Callable[[np.ndarray, slice], None],
     ) -> np.ndarray:
         """Velocity block (3, M, M, K) -> the block (3, M, M, K) of a
         pointwise map of the velocity and its curl, slab by slab.
 
-        ``fn(part, lo, values, out)`` gets the real values (6, p, N, N) of
-        the x1-planes lo..lo+p-1, the velocity and then its curl, may
-        overwrite them, and fills ``out`` (3, p, N, N). ``part`` names the
-        :func:`pipeline_parts` half of a call, so ``fn`` can keep per-part
-        state apart. ``finish`` is that of :meth:`_forward_lines`.
+        ``fn(lo, values, out)`` gets the real values (6, p, N, N) of the
+        x1-planes lo..lo+p-1, the velocity and then its curl, may overwrite
+        them, and fills ``out`` (3, p, N, N). Calls on different slabs may
+        run at the same time on two threads, so state that ``fn`` shares
+        across calls must tolerate that (``list.append`` does).
+        ``finish`` is that of :meth:`_forward_lines`.
 
         Before ``finish``, the result equals
         ``gather(rfftn(fn(irfftn(scatter([c, ik x c]))), norm="forward"))``
@@ -375,7 +375,7 @@ class WaveGrid:
 
         def planes(part: int, lo: int, hi: int) -> np.ndarray:
             out = self.workspace(f"forward.slab{part}", (3, slab_planes(n), n, n), np.float64)[:, :hi - lo]
-            fn(part, lo, _fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS), out)
+            fn(lo, _fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS), out)
             return out
 
         return self._forward_lines(3, planes, finish)
@@ -387,16 +387,16 @@ class WaveGrid:
         bounds = (0, self.kb, self.mb)
         return slice(bounds[halves.start], bounds[halves.stop])
 
-    def by_k1_half(self, work: Callable[[int, slice], None]) -> None:
-        """Run ``work(part, rows)`` on the block's k1 rows in
-        :func:`pipeline_parts` parts, split by retained k1 half as the
-        forward x2 pass of :meth:`_forward_lines` splits them: rows
-        0..K-1 and K..M-1 side by side in two parts (:func:`_in_parts`; a
-        part must not call this again), or rows 0..M-1 in the calling thread.
-        Each part owns contiguous rows of every block it writes, so mode-wise
-        work gives the same bits in either case."""
+    def by_k1_half(self, work: Callable[[slice], None]) -> None:
+        """Run ``work(rows)`` on the block's k1 rows in :func:`pipeline_parts`
+        parts, split by retained k1 half as the forward x2 pass of
+        :meth:`_forward_lines` splits them: rows 0..K-1 and K..M-1 side by
+        side in two parts (:func:`_in_parts`; ``work`` must not call this
+        again), or rows 0..M-1 in the calling thread. ``work`` writes only
+        its own rows of every block, and scratch it needs can be named by
+        ``rows.start``, so mode-wise work gives the same bits in either case."""
         halves = len(self._halves)
-        _in_parts(pipeline_parts(self.n), [(halves, lambda part, share: work(part, self._k1_rows(share)))])
+        _in_parts(pipeline_parts(self.n), [(halves, lambda part, share: work(self._k1_rows(share)))])
 
     # ------------------------------------------------------------------
     # coordinates

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import fields
-from .grid import _CYCLIC, WaveGrid, slab_planes
+from .grid import _CYCLIC, WaveGrid
 from .fields import project_coeffs
 
 __all__ = ["check_physics", "project_coeffs", "nonviscous_rhs"]
@@ -55,48 +55,47 @@ def nonviscous_rhs(
 
     :meth:`WaveGrid.transform_pointwise` transforms u_hat with its curl and
     calls the pointwise force below on one slab of physical values at a
-    time, from one or two threads. s2 = u . u feeds both the damping factor
-    and the peak speed; each half keeps its own scratch and running peak,
-    and sqrt(max s2) is bitwise the max of the pointwise speeds. Each half
-    then projects the k1 rows of the result it has just filled and adds the
-    forcing to them. Apart from the result every array is a per-grid
-    workspace.
+    time, with the slab's own arrays as its only scratch. s2 = u . u feeds
+    both the damping factor and the peak speed, and sqrt of the max over
+    the slabs' max s2 is bitwise the max of the pointwise speeds. The k1
+    rows of the result are then projected and get the forcing added. The
+    result is the only array allocated here.
     """
-    n = grid.n
-    planes = slab_planes(n)
     expo = (beta - 1.0) / 2.0
-    peaks = [-math.inf, -math.inf]
+    peaks = []  # one max s2 per slab
 
-    def force(part: int, lo: int, values: np.ndarray, out: np.ndarray) -> None:
-        u = values[:3]
-        work = grid.workspace(f"rhs.scratch{part}", (4, planes, n, n), np.float64)[:, :values.shape[1]]
-        s2, prod = work[0], work[1:]
-        tmp = prod[0]
+    def force(lo: int, values: np.ndarray, out: np.ndarray) -> None:
+        u, w = values[:3], values[3:]
+        # u x omega first, each component's temporary the next unwritten one,
+        # the last's omega_3, read by the first two only; omega_1 then holds
+        # s2 and omega_2 the damping product
+        for i, j, k in _CYCLIC:
+            tmp = out[i + 1] if i < 2 else w[2]
+            np.multiply(u[j], w[k], out=out[i])
+            np.multiply(u[k], w[j], out=tmp)
+            out[i] -= tmp
+        s2, tmp = w[0], w[1]
         np.multiply(u[0], u[0], out=s2)
         for c in (1, 2):
             np.multiply(u[c], u[c], out=tmp)
             s2 += tmp
-        peaks[part] = np.maximum(peaks[part], s2.max())  # NaN propagates, as in a whole-grid max
-        w = values[3:]
-        for i, j, k in _CYCLIC:
-            np.multiply(u[j], w[k], out=out[i])
-            np.multiply(u[k], w[j], out=tmp)
-            out[i] -= tmp
+        peaks.append(s2.max())
         # in place, with numpy's fast paths of s2 ** expo: exponent 0 (beta = 1)
         # fills ones, NaN and inf included, and 0.5 is sqrt, so the bits match
         fac = s2
         fac **= expo
         fac *= alpha
-        np.multiply(fac, u, out=prod)
-        out -= prod
+        for c in range(3):
+            np.multiply(fac, u[c], out=tmp)
+            out[c] -= tmp
 
     def finish(block: np.ndarray, rows: slice) -> None:
         # through the fields module: a wrapper put on this module's name (the
         # span tracer of perfbench/spans.py) keeps one span stack per process
-        # and must not run on the second part's thread
+        # and must not run on the pipeline worker
         fields.project_coeffs(block, grid, rows)
         block[:, rows] += forcing_coeffs[:, rows]
 
     out = grid.transform_pointwise(coeffs, force, finish)
-    return out, math.sqrt(float(np.maximum(*peaks)))
+    return out, math.sqrt(float(np.max(peaks)))  # NaN propagates, unlike the builtin max
 

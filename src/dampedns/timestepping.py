@@ -5,13 +5,10 @@ is advanced with the viscous term handled exactly per mode through the
 factor exp(-mu |k|^2 dt); the convective, damping and forcing parts are
 explicit. The scheme is IF-RK2 (integrating-factor Heun).
 
-A step's block-wide work runs in the parts of
-:meth:`~dampedns.grid.WaveGrid.by_k1_half`, each on its own k1 rows of
-every block: the predictor (into a per-grid workspace), and the corrector
-fused with the post-step projection and the blow-up peak. The right-hand
-side runs its own pipeline in the same parts
-(:func:`~dampedns.operators.nonviscous_rhs`). Every mode sees the same
-arithmetic in either part, so results do not depend on the split.
+A step's block-wide work goes through
+:meth:`~dampedns.grid.WaveGrid.by_k1_half` as mode-wise work on ranges of
+k1 rows: the predictor (into a per-grid workspace), and the corrector
+fused with the post-step projection and the blow-up peak.
 """
 
 from __future__ import annotations
@@ -138,7 +135,8 @@ def step(
     re-projected to keep the field invariants after every step, and a
     blow-up guard rejects runaway amplitudes, NaN included. A step
     allocates only its two right-hand sides, the first of which becomes the
-    result; the predictor and every scratch array are per-grid workspaces.
+    result; the predictor and the blow-up peak's scratch, one per first row
+    of a row range, are per-grid workspaces.
     """
     grid = state.u.grid
     coeffs = state.u.coeffs
@@ -149,11 +147,11 @@ def step(
         dt = min(dt, until - state.t)
     if dt <= 0.0:
         raise SolverError(f"nonpositive step dt={dt}")
-    peaks = np.full(2, -np.inf)
+    peaks = []  # one max|u_hat| per row range
     visc = grid.viscous_factor(physics.mu, dt)
     pred = grid.workspace("step.pred", coeffs.shape)
 
-    def predictor(part: int, rows: slice) -> None:
+    def predictor(rows: slice) -> None:
         mine = pred[:, rows]
         np.multiply(k1[:, rows], dt, out=mine)
         mine += coeffs[:, rows]
@@ -162,7 +160,7 @@ def step(
     grid.by_k1_half(predictor)
     k2, _ = nonviscous_rhs(pred, grid, al, be, f)
 
-    def corrector(part: int, rows: slice) -> None:
+    def corrector(rows: slice) -> None:
         mine, late = k1[:, rows], k2[:, rows]
         mine *= 0.5 * dt
         mine += coeffs[:, rows]
@@ -171,12 +169,12 @@ def step(
         mine += late
         # the projection goes through the fields module, as in nonviscous_rhs
         fields.project_coeffs(k1, grid, rows)
-        mag = grid.workspace(f"step.abs{part}", mine.shape[1:], np.float64)
-        peaks[part] = np.max([np.abs(comp, out=mag).max() for comp in mine])
+        mag = grid.workspace(f"step.abs{rows.start}", mine.shape[1:], np.float64)
+        peaks.append(np.max([np.abs(comp, out=mag).max() for comp in mine]))
 
     grid.by_k1_half(corrector)
     t_new = state.t + dt
-    peak = float(peaks.max())  # NaN in either part propagates, unlike the builtin max
+    peak = float(np.max(peaks))  # NaN propagates, unlike the builtin max
     if not np.isfinite(peak) or peak > BLOWUP_GUARD:
         raise BlowUpError(t_new, peak)
     return SolverState(t_new, SpectralVelocity(grid, k1), state.step_count + 1, dt)

@@ -297,7 +297,7 @@ class TestPrunedForward:
         x = rng.standard_normal((3, n, n, n))
         filled = []
 
-        def fill(part, lo, values, out):
+        def fill(lo, values, out):
             out[...] = x[:, lo:lo + out.shape[1]]
             filled.extend(range(lo, lo + out.shape[1]))
 
@@ -330,6 +330,26 @@ class TestResultsOwnTheirMemory:
         assert np.array_equal(again, kept) and speed_again == speed
         assert not np.may_share_memory(again, res)
 
+    def test_workspace_inventory(self, monkeypatch, fresh_pool):
+        """The memory a grid keeps after a step: the transforms' workspaces,
+        one slab per part and the curl's scratch in the part that forms it
+        (the second of two takes components 3-5), and the projection's and
+        the blow-up peak's scratch per first k1 row of a part (K = 22 at
+        n = 64). The pointwise force keeps none; its slab is its scratch."""
+        want = {
+            (32, 1): {"inverse", "inverse.curl0", "forward.k3", "forward.slab0",
+                      "project.row0", "step.abs0", "step.pred"},
+            (64, 2): {"inverse", "inverse.curl1", "forward.k3", "forward.slab0", "forward.slab1",
+                      "project.row0", "project.row22", "step.abs0", "step.abs22", "step.pred"},
+        }
+        for (n, cpus), names in want.items():
+            set_cpus(monkeypatch, cpus)
+            assert pipeline_parts(n) == cpus
+            grid, u, physics = setup(n, 3.5)
+            step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
+            got = {name for name, _ in grid._work}
+            assert got == names, n
+            assert not any(name.startswith("rhs.scratch") for name in got)
 
 # Slabs of 5 planes put seams in both halves of every grid; the last two
 # cases run n = 64 at its default slab of 8 planes, as `separate` does.
@@ -389,12 +409,12 @@ class TestSplit:
         transform = WaveGrid.transform_pointwise
 
         def poisoning(self, coeffs, fn, finish):
-            def fn_with_nan(part, lo, values, out):
+            def fn_with_nan(lo, values, out):
                 if lo == self.n - slab_planes(self.n):  # the last slab, in the second half
-                    assert part == 1
+                    assert threading.current_thread() is not threading.main_thread()  # on the pipeline worker
                     values[1, -1, 7, 9] = np.nan
                     poisoned.append(lo)
-                fn(part, lo, values, out)
+                fn(lo, values, out)
             return transform(self, coeffs, fn_with_nan, finish)
 
         monkeypatch.setattr(WaveGrid, "transform_pointwise", poisoning)
@@ -445,12 +465,13 @@ class TestSplit:
         transform = WaveGrid.transform_pointwise
 
         def failing_fn(self, coeffs, fn, finish):
-            def fn_or_fail(part, lo, values, out):
+            def fn_or_fail(lo, values, out):
+                part = int(lo >= 24)  # part 0 holds planes 0-23
                 if part == failing:
                     raise ZeroDivisionError(f"part {part}")
                 running.append(lo)
                 time.sleep(0.01)
-                fn(part, lo, values, out)
+                fn(lo, values, out)
                 running.remove(lo)
                 finished.append(lo)
             return transform(self, coeffs, fn_or_fail, finish)

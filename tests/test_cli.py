@@ -290,6 +290,11 @@ class TestSweepCommand:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "sweep").exists()
+        [line] = [line for line in err.splitlines() if line.startswith("error: ")]
+        if args in ("--stride 0", "--max-t 0.1 --stride 0.25"):  # the horizon check names both flags
+            assert "--stride=" in line and "--max-t=" in line and "max_t" not in line
+        if args == "--steady-tol 0":
+            assert "] --steady-tol must be > 0" in line
 
     def test_failed_cell_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         def integrate(*a, **k):
@@ -364,6 +369,8 @@ class TestSeparateCommand:
         [line] = [line for line in err.splitlines() if line.startswith("error: ")]
         if flag in ("--seed", "--perturb-seed", "--energy"):  # they set keys of other names
             assert f"] {flag} must be >= 0" in line
+        if flag == "--t":  # the horizon check names both flags
+            assert "got --stride=0.25, --t=0.02" in line
 
     def test_regime_violation_creates_no_output(self, capsys, tmp_path):
         out = tmp_path / "o2"
