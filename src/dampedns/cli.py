@@ -149,10 +149,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = load_preset("cylinder-a02-b1")
-    with checked("sweep", {"max_t": "--max-t", "stride": "--stride", "steady_tol": "--steady-tol"}):
+    with checked("sweep", args.flags):
         # an adaptive step never reads dt; it only has to lie within [dt_min, dt_max]
         scheme = replace(base.scheme, dt=min(base.scheme.dt, args.dt_max), dt_max=args.dt_max)
-        cfg = replace(base, n=args.n, mu=args.mu, scheme=scheme, output_dir=args.out)
+        cfg = replace(base, n=args.n, mu=args.mu, scheme=scheme)
         steady = dict(stride=args.stride, steady_tol=args.steady_tol, max_t=args.max_t)
         check_sweep(args.alphas, args.betas, **steady)
     result = run_convergence_speed_sweep(cfg, args.alphas, args.betas, **steady, snapshot_dir=args.out)
@@ -168,20 +168,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_separate(args) -> int:
     base = load_preset("cylinder-a02-b1")
-    flags = {"ic_seed": "--seed", "ic_energy": "--energy", "perturb_seed": "--perturb-seed",
-             "max_t": "--t", "stride": "--stride"}
-    with checked("separate", flags):
+    with checked("separate", args.flags):
         # a fixed step never reads dt_max; it only has to bound dt
         scheme = replace(base.scheme, dt=args.dt, dt_max=max(base.scheme.dt_max, args.dt))
-        cfg = replace(
-            base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme,
-            initial=replace(base.initial, kind="random", seed=args.seed, energy=args.energy),
-        )
-        check_separation(args.deltas, stride=args.stride, max_t=args.t, perturb_seed=args.perturb_seed)
+        initial = replace(base.initial, kind="random", seed=args.ic_seed, energy=args.ic_energy)
+        cfg = replace(base, n=args.n, mu=args.mu, alpha=args.alpha, beta=args.beta, scheme=scheme, initial=initial)
+        horizon = dict(stride=args.stride, max_t=args.max_t, perturb_seed=args.perturb_seed)
+        check_separation(args.deltas, **horizon)
     check_separation_regime(cfg)
     out = make_output_dir(args.out) if args.out else None
-    result = run_trajectory_separation(cfg, args.deltas, max_t=args.t, stride=args.stride,
-                                       perturb_seed=args.perturb_seed)
+    result = run_trajectory_separation(cfg, args.deltas, **horizon)
     for run in result.runs:
         _emit({"delta": run.delta, "max_ratio": run.ratio, "growth_rate": run.growth_rate})
     if out is not None:
@@ -252,15 +248,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--beta", type=float, default=4.0)
     p_sep.add_argument("--mu", type=float, default=0.5)
     p_sep.add_argument("--n", type=int, default=32)
-    p_sep.add_argument("--t", type=float, default=5.0)
+    p_sep.add_argument("--t", type=float, default=5.0, dest="max_t", metavar="T")
     p_sep.add_argument("--dt", type=float, default=0.01)
     p_sep.add_argument("--stride", type=float, default=0.25)
     p_sep.add_argument("--deltas", type=_floats, default=[1e-2, 1e-3, 1e-4])
-    p_sep.add_argument("--seed", type=int, default=1)
-    p_sep.add_argument("--energy", type=float, default=1.0)
+    p_sep.add_argument("--seed", type=int, default=1, dest="ic_seed", metavar="SEED")
+    p_sep.add_argument("--energy", type=float, default=1.0, dest="ic_energy", metavar="ENERGY")
     p_sep.add_argument("--perturb-seed", type=int, default=7, dest="perturb_seed")
     p_sep.add_argument("--out", default=None, help="directory for the separation-curve CSV")
     p_sep.set_defaults(fn=_cmd_separate)
+
+    for p in (p_sw, p_sep):  # an option's dest is the key it sets, so its errors can name the flag
+        p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions if a.dest != "help"})
 
     p_pre = sub.add_parser("presets", help="list built-in configurations")
     p_pre.add_argument("--show", action="store_true", help="print the full config text")

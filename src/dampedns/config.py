@@ -4,9 +4,9 @@ Format: INI-like sections ``[physics] [grid] [forcing] [scheme] [run]``
 with one ``key = value`` pair per line and ``#`` comments. Unknown keys are
 errors (no silent defaults for misspellings). Syntax and type errors carry
 the line number. Range errors name the section: the dataclasses call the
-owning module's check whenever they are built, ``replace`` included. An
-``InitialSpec`` leaves the section to its builder, which names ``[run]``
-or, in ``separate``, the flag that set the value.
+owning module's check whenever they are built, ``replace`` included. A
+command that builds them from flags re-sections the error with
+:func:`checked`, which names the flag that set the value.
 Defaults live on the dataclasses.
 
 Keys and defaults
@@ -25,6 +25,7 @@ Keys and defaults
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -59,17 +60,18 @@ class ConfigError(ValueError):
 def checked(section: str, flags: dict[str, str] | None = None):
     """Re-raise the ValueError of an owner's check as ConfigError("[section] message").
 
-    ``flags`` maps a key that the message may name to the command-line flag
-    that set it, so the error names what the user typed.
+    ``flags`` maps keys to the command-line flags that set them. Given flags,
+    a ConfigError is re-sectioned too: its ``[section]`` is dropped and each
+    word of the message that is a key becomes its flag, in one pass. Without
+    them, a ConfigError passes through, so the innermost section wins.
     """
     try:
         yield
-    except ConfigError:
-        raise
     except ValueError as exc:
-        message = str(exc)
-        for key, flag in (flags or {}).items():
-            message = message.replace(key, flag)
+        if isinstance(exc, ConfigError) and not flags:
+            raise
+        message = re.sub(r"^\[\w+\] ", "", str(exc))  # a ConfigError's own section
+        message = re.sub(r"\w+", lambda word: (flags or {}).get(word[0], word[0]), message)
         raise ConfigError(f"[{section}] {message}") from None
 
 
@@ -99,8 +101,8 @@ class InitialSpec:
     slope: float = -4.0
 
     def __post_init__(self):
-        # unwrapped: who builds it from user input names the section, or the flags
-        check_initial(self.kind, self.energy, self.amplitude, self.slope, self.seed)
+        with checked("run"):
+            check_initial(self.kind, self.energy, self.amplitude, self.slope, self.seed)
 
 
 @dataclass(frozen=True)
@@ -225,9 +227,7 @@ def parse_config(text: str) -> RunConfig:
     with checked("scheme"):
         scheme = SchemeConfig(**kwargs["scheme"])
     forcing = ForcingSpec(**kwargs["forcing"])
-    with checked("run"):
-        ic = InitialSpec(**initial)
-    return RunConfig(**top, forcing=forcing, initial=ic, scheme=scheme)
+    return RunConfig(**top, forcing=forcing, initial=InitialSpec(**initial), scheme=scheme)
 
 
 # ----------------------------------------------------------------------

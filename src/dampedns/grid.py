@@ -260,16 +260,17 @@ class WaveGrid:
         return arr
 
     def _inverse_lines(self, coeffs: np.ndarray, curl: bool = False) -> np.ndarray:
-        """The c2c passes of the pruned inverse, in place in a per-grid
-        workspace, which is returned ready for ``irfft`` along k3:
-        (c, N, N, N//2+1). With ``curl``, the velocity block (3, M, M, K) goes
-        in together with its curl ik x c, formed one component at a time, so
-        the workspace holds six components. A part's share is a contiguous
-        block of components. Columns k3 >= K are never written and stay
-        zero; the padding the passes overwrite is re-zeroed on every call.
+        """The c2c passes of the pruned inverse, in place in the leading c
+        components of the per-grid workspace (six, or c if more), returned
+        ready for ``irfft`` along k3: (c, N, N, N//2+1). With ``curl``, the
+        velocity block (3, M, M, K) goes in with its curl ik x c, formed one
+        component at a time, so c = 6. A part's share is a contiguous block
+        of components. Columns k3 >= K are never written and stay zero; the
+        padding the passes overwrite is re-zeroed on every call.
         """
         comps, kb = coeffs.shape[0], self.kb
-        work = self.workspace("inverse", (2 * comps if curl else comps, self.n, self.n, self.nk))
+        rows = 2 * comps if curl else comps
+        work = self.workspace("inverse", (max(rows, 6), self.n, self.n, self.nk))[:rows]
         ik = self.ikvec if curl else None  # built on first use here, in the calling thread's malloc arena
 
         def components(part: int, share: slice) -> None:

@@ -24,6 +24,7 @@ import dampedns.timestepping as timestepping
 from dampedns import (
     BlowUpError, ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step,
 )
+from dampedns.diagnostics import record
 from dampedns.grid import pipeline_parts, slab_planes
 from dampedns.operators import nonviscous_rhs
 from dampedns.timestepping import BLOWUP_GUARD, _cfl_dt
@@ -350,6 +351,16 @@ class TestResultsOwnTheirMemory:
             got = {name for name, _ in grid._work}
             assert got == names, n
             assert not any(name.startswith("rhs.scratch") for name in got)
+
+    def test_one_inverse_workspace(self, monkeypatch, fresh_pool):
+        """``record`` inverts three components and the RHS six; both use the
+        leading components of one six-component workspace per grid."""
+        for n, cpus in ((32, 1), (64, 2)):
+            set_cpus(monkeypatch, cpus)
+            grid, u, physics = setup(n, 3.5)
+            record(u, 0.0, physics)
+            step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
+            assert [shape for name, shape in grid._work if name == "inverse"] == [(6, n, n, n // 2 + 1)], n
 
 # Slabs of 5 planes put seams in both halves of every grid; the last two
 # cases run n = 64 at its default slab of 8 planes, as `separate` does.

@@ -279,7 +279,7 @@ class TestVerifyCommand:
 class TestSweepCommand:
     @pytest.mark.parametrize("args", [
         "--alphas 0.2,0", "--betas 0.5", "--stride 0", "--steady-tol 0",
-        "--max-t 0.1 --stride 0.25", "--dt-max 0", "--n 9",
+        "--max-t 0.1 --stride 0.25", "--dt-max 0", "--n 9", "--mu 0",
     ])
     def test_bad_flag_exits_2(self, capsys, tmp_path, monkeypatch, args):
         def integrate(*a, **k):
@@ -295,6 +295,10 @@ class TestSweepCommand:
             assert "--stride=" in line and "--max-t=" in line and "max_t" not in line
         if args == "--steady-tol 0":
             assert "] --steady-tol must be > 0" in line
+        if args in ("--n 9", "--mu 0"):  # checked by the config dataclass, named by the flag
+            assert line.startswith(f"error: [sweep] {args.split()[0]} must be ")
+        if args == "--dt-max 0":  # dt is derived from the flag, and the check names it too
+            assert "dt <= --dt-max < inf" in line and line.endswith("--dt-max=0.0")
 
     def test_failed_cell_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         def integrate(*a, **k):
@@ -360,6 +364,7 @@ class TestSeparateCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--n", "9"), ("--dt", "0"), ("--deltas", "0"), ("--t", "0.02"),  # --t below the 0.25 stride
         ("--seed", "-3"), ("--perturb-seed", "-3"), ("--energy", "-1"),
+        ("--mu", "-1"), ("--alpha", "0"), ("--beta", "0.5"),
     ])
     def test_bad_flag_exits_2(self, capsys, flag, value):
         code = main(["separate", flag, *value.split()])
@@ -371,6 +376,11 @@ class TestSeparateCommand:
             assert f"] {flag} must be >= 0" in line
         if flag == "--t":  # the horizon check names both flags
             assert "got --stride=0.25, --t=0.02" in line
+        if flag == "--dt":
+            assert "<= --dt <=" in line and "--dt=0.0" in line
+        if flag != "--deltas":  # its errors name no key
+            assert line.startswith("error: [separate] ") and flag in line
+            assert not any(section in line for section in ("[grid]", "[physics]", "[run]"))
 
     def test_regime_violation_creates_no_output(self, capsys, tmp_path):
         out = tmp_path / "o2"

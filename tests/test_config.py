@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dampedns import ConfigError, h_norm_sq, parse_config
+from dampedns import ConfigError, SchemeConfig, h_norm_sq, parse_config
 from dampedns.config import (
+    checked,
     build_forcing,
     build_grid,
     build_initial,
@@ -146,6 +147,34 @@ class TestRangeChecks:
             parse_config(MINIMAL + "\n[run]\nic = vortex\n")
         with pytest.raises(ConfigError, match="t_end"):
             parse_config(MINIMAL + "\n[run]\nt_end = -1\n")
+
+
+def checked_message(section, flags, build):
+    """The ConfigError message that ``checked(section, flags)`` makes of ``build()``'s error."""
+    with pytest.raises(ConfigError) as info:
+        with checked(section, flags):
+            build()
+    return str(info.value)
+
+
+class TestChecked:
+    def test_whole_keys_renamed_in_one_pass(self):
+        message = checked_message("sweep", {"dt": "--dt", "dt_max": "--dt-max"},
+                                  lambda: SchemeConfig(dt=0.0, dt_max=0.0))
+        assert message == ("[sweep] need 0 < dt_min <= --dt <= --dt-max < inf, "
+                           "got dt_min=1e-08, --dt=0.0, --dt-max=0.0")
+
+    def test_one_letter_key_leaves_words_alone(self):
+        message = checked_message("separate", {"n": "--n"}, lambda: SchemeConfig(dt=float("nan")))
+        assert message == "[separate] need 0 < dt_min <= dt <= dt_max < inf, got dt_min=1e-08, dt=nan, dt_max=0.1"
+
+    def test_config_error_resectioned_only_with_flags(self):
+        def bad_grid():
+            replace(parse_config(MINIMAL), n=9)
+
+        assert checked_message("separate", None, bad_grid) == "[grid] n must be an even integer >= 4, got 9"
+        assert checked_message("separate", {"n": "--n"}, bad_grid) == (
+            "[separate] --n must be an even integer >= 4, got 9")
 
 
 class TestBuilders:
