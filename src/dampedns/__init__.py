@@ -11,6 +11,8 @@ from .grid import GridError, WaveGrid, get_fft_workers
 from .fields import (
     FieldError,
     ForcingField,
+    ForcingSpec,
+    InitialSpec,
     SpectralVelocity,
     h_inner,
     h_norm_sq,
@@ -51,8 +53,6 @@ from .experiments import (
 )
 from .config import (
     ConfigError,
-    ForcingSpec,
-    InitialSpec,
     RunConfig,
     build_forcing,
     build_grid,

@@ -210,7 +210,10 @@ def _cmd_presets(args) -> int:
 
 
 def _floats(raw: str) -> list[float]:
-    return [float(p) for p in raw.split(",") if p.strip()]
+    try:
+        return [float(p) for p in raw.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -3,11 +3,15 @@
 Format: INI-like sections ``[physics] [grid] [forcing] [scheme] [run]``
 with one ``key = value`` pair per line and ``#`` comments. Unknown keys are
 errors (no silent defaults for misspellings). Syntax and type errors carry
-the line number. Range errors name the section: the dataclasses call the
-owning module's check whenever they are built, ``replace`` included. A
-command that builds them from flags re-sections the error with
-:func:`checked`, which names the flag that set the value.
-Defaults live on the dataclasses.
+the line number. Range errors name the section. Each dataclass checks
+itself whenever it is built, ``replace`` included: :class:`RunConfig` here,
+``ForcingSpec`` and ``InitialSpec`` in :mod:`dampedns.fields` and
+``SchemeConfig`` in :mod:`dampedns.timestepping`. The parser builds the
+last three inside :func:`checked`, which puts the section on their errors;
+a command that builds them from flags re-sections the error the same way,
+naming the flag that set the value. Defaults live on the dataclasses: the
+forcing and initial-field defaults below are those of
+``fields.ForcingSpec`` and ``fields.InitialSpec``.
 
 Keys and defaults
 -----------------
@@ -30,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .grid import WaveGrid, check_grid
-from .fields import ForcingField, SpectralVelocity, check_cylinder, check_initial, make_initial_condition
+from .fields import ForcingField, ForcingSpec, InitialSpec, SpectralVelocity
 from .operators import check_physics
 from .timestepping import Physics, SchemeConfig, SolverState
 
@@ -73,36 +77,6 @@ def checked(section: str, flags: dict[str, str] | None = None):
         message = re.sub(r"^\[\w+\] ", "", str(exc))  # a ConfigError's own section
         message = re.sub(r"\w+", lambda word: (flags or {}).get(word[0], word[0]), message)
         raise ConfigError(f"[{section}] {message}") from None
-
-
-@dataclass(frozen=True)
-class ForcingSpec:
-    kind: str = "zero"  # zero | cylinder
-    radius: float | None = None
-    height: float | None = None
-    axis: str = "y"
-    force: tuple[float, float, float] = (0.0, 2.0, 0.0)
-    center: tuple[float, float, float] | None = None
-    smooth_cells: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "cylinder"):
-            raise ConfigError(f"[forcing] kind must be 'zero' or 'cylinder', got {self.kind!r}")
-        with checked("forcing"):
-            check_cylinder(self.axis, self.radius, self.height, self.smooth_cells, self.force, self.center)
-
-
-@dataclass(frozen=True)
-class InitialSpec:
-    kind: str = "zero"  # zero | shear | random
-    amplitude: float = 1.0
-    seed: int = 0
-    energy: float = 1.0
-    slope: float = -4.0
-
-    def __post_init__(self):
-        with checked("run"):
-            check_initial(self.kind, self.energy, self.amplitude, self.slope, self.seed)
 
 
 @dataclass(frozen=True)
@@ -226,8 +200,11 @@ def parse_config(text: str) -> RunConfig:
 
     with checked("scheme"):
         scheme = SchemeConfig(**kwargs["scheme"])
-    forcing = ForcingSpec(**kwargs["forcing"])
-    return RunConfig(**top, forcing=forcing, initial=InitialSpec(**initial), scheme=scheme)
+    with checked("forcing"):
+        forcing = ForcingSpec(**kwargs["forcing"])
+    with checked("run"):
+        initial = InitialSpec(**initial)
+    return RunConfig(**top, forcing=forcing, initial=initial, scheme=scheme)
 
 
 # ----------------------------------------------------------------------
@@ -239,21 +216,11 @@ def build_grid(cfg: RunConfig) -> WaveGrid:
 
 
 def build_forcing(cfg: RunConfig, grid: WaveGrid) -> ForcingField:
-    f = cfg.forcing
-    if f.kind == "zero":
-        return ForcingField.zero(grid)
-    return ForcingField.cylinder(
-        grid, center=f.center, radius=f.radius, height=f.height,
-        axis=f.axis, force=f.force, smooth_cells=f.smooth_cells,
-    )
+    return cfg.forcing.build(grid)
 
 
 def build_initial(cfg: RunConfig, grid: WaveGrid) -> SpectralVelocity:
-    ic = cfg.initial
-    return make_initial_condition(
-        grid, ic.kind, amplitude=ic.amplitude, seed=ic.seed,
-        energy=ic.energy, slope=ic.slope,
-    )
+    return cfg.initial.build(grid)
 
 
 def build_physics(cfg: RunConfig, grid: WaveGrid) -> Physics:
@@ -318,14 +285,8 @@ adaptive = true
 t_end = 60.0
 ic = zero
 diag_stride = 10
-run_id = cylinder-a{atag}-b{btag}
+run_id = {name}
 """
-
-
-def _cylinder_preset(alpha: float, beta: float) -> str:
-    atag = f"{alpha:g}".replace("0.", "0").replace(".", "")
-    btag = f"{beta:g}".replace(".", "")
-    return _CYLINDER_TEMPLATE.format(alpha=alpha, beta=beta, atag=atag, btag=btag)
 
 
 PRESETS: dict[str, str] = {
@@ -333,8 +294,8 @@ PRESETS: dict[str, str] = {
 }
 for _a in (0.2, 0.5):
     for _b in (1, 2, 4):
-        _name = f"cylinder-a{f'{_a:g}'.replace('0.', '0')}-b{_b}"
-        PRESETS[_name] = _cylinder_preset(_a, _b)
+        _name = f"cylinder-a{_a:g}-b{_b:g}".replace(".", "")
+        PRESETS[_name] = _CYLINDER_TEMPLATE.format(alpha=_a, beta=_b, name=_name)
 
 
 def preset_names() -> list[str]:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import RegimeError, REGIME_BY_CHECK, in_uniqueness_regime
-from .config import RunConfig, InitialSpec, build_grid, build_physics, build_state
+from .config import RunConfig, build_grid, build_physics, build_state
 from .diagnostics import record
-from .fields import SpectralVelocity, h_norm_sq, make_initial_condition
+from .fields import InitialSpec, SpectralVelocity, h_norm_sq, make_initial_condition
 from .operators import check_physics
 from .storage import make_output_dir, write_snapshot
 from .timestepping import Physics, SchemeConfig, SolverError, SolverState, integrate
@@ -80,23 +80,30 @@ def check_steady(stride: float, steady_tol: float, max_t: float) -> None:
 
 
 def check_sweep(alphas, betas, *, stride: float, steady_tol: float, max_t: float) -> None:
-    """Raise ValueError unless both axes are non-empty, every (alpha, beta)
-    is valid physics and the steady-state run is valid."""
-    if not alphas or not betas:
-        raise ValueError("a sweep needs non-empty alpha and beta lists")
-    for alpha in alphas:
-        for beta in betas:
-            check_physics(alpha, beta)
+    """Raise ValueError unless both axes are non-empty, every alpha and beta
+    is valid physics and the steady-state run is valid. An axis error names
+    its list, ``alphas`` or ``betas``."""
+    # check_physics judges each parameter on its own, so each axis is checked
+    # against a valid value of the other
+    for key, values, check in (("alphas", alphas, lambda alpha: check_physics(alpha, 1.0)),
+                               ("betas", betas, lambda beta: check_physics(1.0, beta))):
+        if not values:
+            raise ValueError(f"{key} must be non-empty")
+        for value in values:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     check_steady(stride, steady_tol, max_t)
 
 
 def check_separation(deltas, *, stride: float, max_t: float, perturb_seed: int = 7) -> None:
-    """Raise ValueError unless the amplitudes are non-empty, > 0 and finite,
-    0 < stride <= max_t, all finite, and perturb_seed >= 0."""
+    """Raise ValueError unless the amplitudes ``deltas`` are non-empty, > 0
+    and finite, 0 < stride <= max_t, all finite, and perturb_seed >= 0."""
     if not deltas:
-        raise ValueError("trajectory separation needs perturbation amplitudes")
+        raise ValueError("deltas (perturbation amplitudes) must be non-empty")
     if not all(0.0 < d < math.inf for d in deltas):
-        raise ValueError(f"perturbation amplitudes must be > 0 and finite, got {tuple(deltas)}")
+        raise ValueError(f"deltas (perturbation amplitudes) must be > 0 and finite, got {tuple(deltas)}")
     if perturb_seed < 0:
         raise ValueError(f"perturb_seed must be >= 0, got {perturb_seed}")
     _check_horizon(stride, max_t)

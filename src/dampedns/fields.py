@@ -26,8 +26,8 @@ __all__ = [
     "h_inner",
     "divergence_max",
     "hermitian_defect",
-    "check_cylinder",
-    "check_initial",
+    "ForcingSpec",
+    "InitialSpec",
     "make_initial_condition",
 ]
 
@@ -159,20 +159,6 @@ class SpectralVelocity:
 # forcing
 # ----------------------------------------------------------------------
 
-def check_cylinder(axis: str, radius: float | None, height: float | None, smooth_cells: float,
-                   force: tuple[float, float, float], center: tuple[float, float, float] | None) -> None:
-    """Raise FieldError unless the cylinder is valid; None stands for the default size or centre."""
-    if axis not in ("x", "y", "z"):
-        raise FieldError(f"cylinder axis must be x, y or z, got {axis!r}")
-    for name, size in (("radius", radius), ("height", height)):
-        if size is not None and not 0.0 < size < math.inf:
-            raise FieldError(f"cylinder {name} must be > 0 and finite, got {size}")
-    if not 0.0 <= smooth_cells < math.inf:
-        raise FieldError(f"smooth_cells must be >= 0 and finite, got {smooth_cells}")
-    if not all(map(math.isfinite, (*force, *(center or ())))):
-        raise FieldError(f"cylinder force and center must be finite, got {force} and {center}")
-
-
 class ForcingField:
     """Autonomous body force, cached as projected block coefficients.
 
@@ -189,74 +175,100 @@ class ForcingField:
         self.coeffs = c
         self.norm_sq = h_norm_sq(c, grid)
 
-    @classmethod
-    def zero(cls, grid: WaveGrid) -> "ForcingField":
-        return cls(grid, np.zeros(grid.shape(), np.complex128))
+    @staticmethod
+    def zero(grid: WaveGrid) -> "ForcingField":
+        return ForcingSpec().build(grid)
 
-    @classmethod
-    def cylinder(
-        cls,
-        grid: WaveGrid,
-        *,
-        center: tuple[float, float, float] | None = None,
-        radius: float | None = None,
-        height: float | None = None,
-        axis: str = "y",
-        force: tuple[float, float, float] = (0.0, 2.0, 0.0),
-        smooth_cells: float = 1.0,
-    ) -> "ForcingField":
-        """Constant force inside a cylinder, zero outside.
+    @staticmethod
+    def cylinder(grid: WaveGrid, **params) -> "ForcingField":
+        """Constant force inside a cylinder; ``params`` are :class:`ForcingSpec` fields."""
+        return ForcingSpec("cylinder", **params).build(grid)
 
-        Defaults mirror the canonical configuration: a cylinder of radius
-        and height L/3 centred in the box with its axis along y, carrying
-        the force (0, 2, 0). The indicator is smoothed over ``smooth_cells``
-        grid cells in spectral space to limit Gibbs ringing.
-        """
-        check_cylinder(axis, radius, height, smooth_cells, force, center)
-        L = grid.length
-        if center is None:
-            center = (L / 2.0, L / 2.0, L / 2.0)
-        if radius is None:
-            radius = L / 3.0
-        if height is None:
-            height = L / 3.0
 
-        x = grid.axis_points()
-        # periodic minimum-image offsets from the centre, one axis each, broadcast over the grid
-        d = [(x - ctr - L * np.round((x - ctr) / L)).reshape(shape)
-             for ctr, shape in zip(center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))]
-        ax = "xyz".index(axis)
-        radial = [d[i] for i in range(3) if i != ax]
-        inside = (radial[0] ** 2 + radial[1] ** 2 <= radius ** 2) & (np.abs(d[ax]) <= height / 2.0)
+def _zeros(grid: WaveGrid, spec: ForcingSpec | InitialSpec) -> np.ndarray:
+    return np.zeros(grid.shape(), np.complex128)
 
-        values = np.zeros((3, grid.n, grid.n, grid.n))
-        for j in range(3):
-            if force[j] != 0.0:
-                values[j][inside] = force[j]
-        c = grid.to_spectral(values)
-        if smooth_cells > 0.0:
-            sigma = smooth_cells * grid.dx
-            c *= np.exp(-0.5 * grid.ksq * sigma ** 2)
-        return cls(grid, c)
+
+def _cylinder_force(grid: WaveGrid, spec: ForcingSpec) -> np.ndarray:
+    """Constant force inside a cylinder, zero outside.
+
+    The indicator is smoothed over ``smooth_cells`` grid cells in spectral
+    space to limit Gibbs ringing.
+    """
+    L = grid.length
+    center = (L / 2.0, L / 2.0, L / 2.0) if spec.center is None else spec.center
+    radius = L / 3.0 if spec.radius is None else spec.radius
+    height = L / 3.0 if spec.height is None else spec.height
+
+    x = grid.axis_points()
+    # periodic minimum-image offsets from the centre, one axis each, broadcast over the grid
+    d = [(x - ctr - L * np.round((x - ctr) / L)).reshape(shape)
+         for ctr, shape in zip(center, ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))]
+    ax = "xyz".index(spec.axis)
+    radial = [d[i] for i in range(3) if i != ax]
+    inside = (radial[0] ** 2 + radial[1] ** 2 <= radius ** 2) & (np.abs(d[ax]) <= height / 2.0)
+
+    values = np.zeros((3, grid.n, grid.n, grid.n))
+    for j in range(3):
+        if spec.force[j] != 0.0:
+            values[j][inside] = spec.force[j]
+    c = grid.to_spectral(values)
+    if spec.smooth_cells > 0.0:
+        sigma = spec.smooth_cells * grid.dx
+        c *= np.exp(-0.5 * grid.ksq * sigma ** 2)
+    return c
+
+
+_FORCINGS = {"zero": _zeros, "cylinder": _cylinder_force}
+
+
+@dataclass(frozen=True)
+class ForcingSpec:
+    """A body force by ``kind`` (zero | cylinder), checked on construction.
+
+    The cylinder defaults are the canonical configuration: radius and height
+    L/3 and the box centre (each given as None), the axis along y and the
+    force (0, 2, 0). Every parameter is checked whatever the kind.
+    """
+
+    kind: str = "zero"
+    radius: float | None = None
+    height: float | None = None
+    axis: str = "y"
+    force: tuple[float, float, float] = (0.0, 2.0, 0.0)
+    center: tuple[float, float, float] | None = None
+    smooth_cells: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in _FORCINGS:
+            raise FieldError(f"kind must be {' or '.join(map(repr, _FORCINGS))}, got {self.kind!r}")
+        if self.axis not in ("x", "y", "z"):
+            raise FieldError(f"cylinder axis must be x, y or z, got {self.axis!r}")
+        for name, size in (("radius", self.radius), ("height", self.height)):
+            if size is not None and not 0.0 < size < math.inf:
+                raise FieldError(f"cylinder {name} must be > 0 and finite, got {size}")
+        if not 0.0 <= self.smooth_cells < math.inf:
+            raise FieldError(f"smooth_cells must be >= 0 and finite, got {self.smooth_cells}")
+        if not all(map(math.isfinite, (*self.force, *(self.center or ())))):
+            raise FieldError(f"cylinder force and center must be finite, got {self.force} and {self.center}")
+
+    def build(self, grid: WaveGrid) -> ForcingField:
+        return ForcingField(grid, _FORCINGS[self.kind](grid, self))
 
 
 # ----------------------------------------------------------------------
 # initial conditions
 # ----------------------------------------------------------------------
 
-def _zero(grid: WaveGrid) -> SpectralVelocity:
-    return SpectralVelocity(grid, np.zeros(grid.shape(), np.complex128))
-
-
-def _shear(grid: WaveGrid, amplitude: float) -> SpectralVelocity:
+def _shear(grid: WaveGrid, spec: InitialSpec) -> np.ndarray:
     """u(x) = (A sin(2 pi y / L), 0, 0): a single divergence-free mode."""
     c = np.zeros(grid.shape(), np.complex128)
-    c[0, 0, 1, 0] = -0.5j * amplitude
-    c[0, 0, grid.mb - 1, 0] = +0.5j * amplitude
-    return SpectralVelocity(grid, c)
+    c[0, 0, 1, 0] = -0.5j * spec.amplitude
+    c[0, 0, grid.mb - 1, 0] = +0.5j * spec.amplitude
+    return c
 
 
-def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> SpectralVelocity:
+def _random_divfree(grid: WaveGrid, spec: InitialSpec) -> np.ndarray:
     """Seeded random divergence-free field scaled to |u|^2 = energy.
 
     Each retained mode takes one complex Gaussian per component, the real
@@ -269,7 +281,7 @@ def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> S
     Per-mode energy follows |u_hat(k)|^2 ~ |k|^slope before projection;
     negative slopes concentrate energy at large scales.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     order = grid.shell_order
     draws = rng.standard_normal((order.size, 3, 2)).view(np.complex128)[..., 0]
     c = np.empty(grid.shape(), np.complex128)
@@ -279,48 +291,53 @@ def _random_divfree(grid: WaveGrid, seed: int, energy: float, slope: float) -> S
     kmag = np.sqrt(grid.ksq)
     k0 = 2.0 * np.pi / grid.length
     amp = np.zeros_like(kmag)
-    np.power(kmag / k0, slope / 2.0, out=amp, where=kmag > 0.0)
+    np.power(kmag / k0, spec.slope / 2.0, out=amp, where=kmag > 0.0)
     c *= amp
     project_coeffs(c, grid)
-    if energy == 0.0:
+    if spec.energy == 0.0:
         c[:] = 0.0
-        return SpectralVelocity(grid, c)
+        return c
     e = h_norm_sq(c, grid)
     if e == 0.0:
         raise FieldError("random field degenerated to zero; cannot scale to target energy")
-    c *= np.sqrt(energy / e)
-    return SpectralVelocity(grid, c)
+    c *= np.sqrt(spec.energy / e)
+    return c
 
 
-def check_initial(kind: str, energy: float, amplitude: float, slope: float, seed: int) -> None:
-    """Raise FieldError unless ``kind`` (ic) is known, energy >= 0, seed >= 0 and every value is finite."""
-    if kind not in ("zero", "shear", "random"):
-        raise FieldError(f"ic must be zero, shear or random, got {kind!r}")
-    if seed < 0:
-        raise FieldError(f"ic_seed must be >= 0, got {seed}")
-    if not 0.0 <= energy < math.inf:
-        raise FieldError(f"ic_energy must be >= 0 and finite, got {energy}")
-    if not (math.isfinite(amplitude) and math.isfinite(slope)):
-        raise FieldError(f"ic_amplitude and ic_slope must be finite, got {amplitude}, {slope}")
+_INITIALS = {"zero": _zeros, "shear": _shear, "random": _random_divfree}
 
 
-def make_initial_condition(
-    grid: WaveGrid,
-    kind: str,
-    *,
-    amplitude: float = 1.0,
-    seed: int = 0,
-    energy: float = 1.0,
-    slope: float = -4.0,
-) -> SpectralVelocity:
-    """Build an initial velocity satisfying all field invariants.
+@dataclass(frozen=True)
+class InitialSpec:
+    """An initial velocity by ``kind`` (zero | shear | random), checked on construction.
 
-    ``kind`` is one of ``zero``, ``shear`` or ``random`` (deterministic for
-    a fixed seed, scaled so |u0|^2 = energy).
+    ``shear`` is one mode of peak speed ``amplitude``; ``random`` is
+    deterministic for a fixed ``seed``, with per-mode energy ~ |k|^slope,
+    scaled so |u0|^2 = energy. Every parameter is checked whatever the kind.
     """
-    check_initial(kind, energy, amplitude, slope, seed)
-    if kind == "zero":
-        return _zero(grid)
-    if kind == "shear":
-        return _shear(grid, amplitude)
-    return _random_divfree(grid, seed, energy, slope)
+
+    kind: str = "zero"
+    amplitude: float = 1.0
+    seed: int = 0
+    energy: float = 1.0
+    slope: float = -4.0
+
+    def __post_init__(self):
+        if self.kind not in _INITIALS:
+            *rest, last = _INITIALS
+            raise FieldError(f"ic must be {', '.join(rest)} or {last}, got {self.kind!r}")
+        if self.seed < 0:
+            raise FieldError(f"ic_seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.energy < math.inf:
+            raise FieldError(f"ic_energy must be >= 0 and finite, got {self.energy}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.slope)):
+            raise FieldError(f"ic_amplitude and ic_slope must be finite, got {self.amplitude}, {self.slope}")
+
+    def build(self, grid: WaveGrid) -> SpectralVelocity:
+        """Build the velocity; it satisfies all field invariants."""
+        return SpectralVelocity(grid, _INITIALS[self.kind](grid, self))
+
+
+def make_initial_condition(grid: WaveGrid, kind: str, **params) -> SpectralVelocity:
+    """Build an initial velocity; ``params`` are :class:`InitialSpec` fields."""
+    return InitialSpec(kind, **params).build(grid)

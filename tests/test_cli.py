@@ -278,7 +278,7 @@ class TestVerifyCommand:
 
 class TestSweepCommand:
     @pytest.mark.parametrize("args", [
-        "--alphas 0.2,0", "--betas 0.5", "--stride 0", "--steady-tol 0",
+        "--alphas 0.2,0", "--alphas 0", "--alphas ,", "--betas 0.5", "--stride 0", "--steady-tol 0",
         "--max-t 0.1 --stride 0.25", "--dt-max 0", "--n 9", "--mu 0",
     ])
     def test_bad_flag_exits_2(self, capsys, tmp_path, monkeypatch, args):
@@ -291,6 +291,9 @@ class TestSweepCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "sweep").exists()
         [line] = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert line.startswith("error: [sweep] ") and args.split()[0] in line
+        if args.startswith(("--alphas", "--betas")):  # a list's errors name the list
+            assert line.startswith(f"error: [sweep] {args.split()[0]}")
         if args in ("--stride 0", "--max-t 0.1 --stride 0.25"):  # the horizon check names both flags
             assert "--stride=" in line and "--max-t=" in line and "max_t" not in line
         if args == "--steady-tol 0":
@@ -378,9 +381,8 @@ class TestSeparateCommand:
             assert "got --stride=0.25, --t=0.02" in line
         if flag == "--dt":
             assert "<= --dt <=" in line and "--dt=0.0" in line
-        if flag != "--deltas":  # its errors name no key
-            assert line.startswith("error: [separate] ") and flag in line
-            assert not any(section in line for section in ("[grid]", "[physics]", "[run]"))
+        assert line.startswith("error: [separate] ") and flag in line
+        assert not any(section in line for section in ("[grid]", "[physics]", "[run]"))
 
     def test_regime_violation_creates_no_output(self, capsys, tmp_path):
         out = tmp_path / "o2"
@@ -419,6 +421,18 @@ class TestSeparateCommand:
         assert code == 0, err
         curves = (tmp_path / "sep" / "separation.csv").read_text().splitlines()
         assert [float(line.split(",")[0]) for line in curves[1:]] == [0.0, 0.3, 0.5]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--alphas", "a"), ("sweep", "--betas", "1,x"), ("separate", "--deltas", "1e-2,q"),
+])
+def test_list_flag_non_number_exits_2(capsys, command, flag, value):
+    code = main([command, flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    [line] = [line for line in err.splitlines() if "error: " in line]
+    assert f"argument {flag}: expected comma-separated numbers, got {value!r}" in line
+    assert "_floats" not in err
 
 
 class TestOutputPath:

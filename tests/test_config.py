@@ -5,7 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dampedns import ConfigError, SchemeConfig, h_norm_sq, parse_config
+import dampedns.config as config
+import dampedns.fields as fields
+from dampedns import (ConfigError, FieldError, ForcingField, SchemeConfig, h_norm_sq, make_initial_condition,
+                      parse_config)
 from dampedns.config import (
     checked,
     build_forcing,
@@ -195,6 +198,65 @@ class TestBuilders:
         assert build_forcing(cfg, build_grid(cfg)).norm_sq == 0.0
 
 
+class TestFieldSpecs:
+    """ForcingSpec and InitialSpec are declared in fields alone; the library
+    entry points and the config builders reach the same bits through them."""
+
+    def test_config_reexports_the_specs(self):
+        assert config.ForcingSpec is fields.ForcingSpec
+        assert config.InitialSpec is fields.InitialSpec
+
+    def test_cylinder_three_ways_bitwise(self):
+        params = dict(center=(2.0, 3.5, 4.0), radius=1.5, height=2.5, axis="z",
+                      force=(1.0, 0.0, -0.5), smooth_cells=0.5)
+        cfg = parse_config(MINIMAL + "\n[forcing]\nkind = cylinder\ncenter = 2, 3.5, 4\nradius = 1.5\n"
+                           "height = 2.5\naxis = z\nforce = 1, 0, -0.5\nsmooth_cells = 0.5\n")
+        grid = build_grid(cfg)
+        library = ForcingField.cylinder(grid, **params).coeffs
+        assert library.any()
+        assert np.array_equal(fields.ForcingSpec("cylinder", **params).build(grid).coeffs, library)
+        assert np.array_equal(build_forcing(cfg, grid).coeffs, library)
+
+    @pytest.mark.parametrize("kind, params, lines", [
+        ("shear", dict(amplitude=2.5), "ic_amplitude = 2.5"),
+        ("random", dict(seed=3, energy=0.5, slope=-2.0), "ic_seed = 3\nic_energy = 0.5\nic_slope = -2"),
+    ])
+    def test_initial_three_ways_bitwise(self, kind, params, lines):
+        cfg = parse_config(MINIMAL + f"\n[run]\nic = {kind}\n{lines}\n")
+        grid = build_grid(cfg)
+        library = make_initial_condition(grid, kind, **params).coeffs
+        assert library.any()
+        assert np.array_equal(fields.InitialSpec(kind, **params).build(grid).coeffs, library)
+        assert np.array_equal(build_initial(cfg, grid).coeffs, library)
+
+    @pytest.mark.parametrize("section, kind, params, lines, message", [
+        ("forcing", "vortex", {}, "kind = vortex", "kind must be 'zero' or 'cylinder', got 'vortex'"),
+        ("forcing", "cylinder", dict(axis="w"), "kind = cylinder\naxis = w",
+         "cylinder axis must be x, y or z, got 'w'"),
+        ("forcing", "cylinder", dict(smooth_cells=-1.0), "kind = cylinder\nsmooth_cells = -1",
+         "smooth_cells must be >= 0 and finite, got -1.0"),
+        ("run", "vortex", {}, "ic = vortex", "ic must be zero, shear or random, got 'vortex'"),
+        ("run", "random", dict(seed=-1), "ic = random\nic_seed = -1", "ic_seed must be >= 0, got -1"),
+        ("run", "random", dict(energy=-1.0), "ic = random\nic_energy = -1",
+         "ic_energy must be >= 0 and finite, got -1.0"),
+    ])
+    def test_bad_value_is_one_message(self, section, kind, params, lines, message):
+        grid = build_grid(parse_config(MINIMAL))
+        spec = fields.ForcingSpec if section == "forcing" else fields.InitialSpec
+        calls = [lambda: spec(kind, **params)]
+        if section == "run":
+            calls.append(lambda: make_initial_condition(grid, kind, **params))
+        elif kind == "cylinder":  # ForcingField.cylinder fixes the kind
+            calls.append(lambda: ForcingField.cylinder(grid, **params))
+        for call in calls:
+            with pytest.raises(FieldError) as info:
+                call()
+            assert str(info.value) == message
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL + f"\n[{section}]\n{lines}\n")
+        assert str(info.value) == f"[{section}] {message}"
+
+
 class TestPresets:
     def test_names(self):
         names = preset_names()
@@ -220,6 +282,10 @@ class TestPresets:
                 assert cfg.initial.kind == "zero"
                 assert cfg.n == 32 and cfg.length == 12.0
         assert seen == {(a, b) for a in (0.2, 0.5) for b in (1.0, 2.0, 4.0)}
+
+    def test_run_id_is_the_name(self):
+        for name in preset_names():
+            assert load_preset(name).run_id == name
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
