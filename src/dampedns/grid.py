@@ -28,9 +28,13 @@ retained k1 rows only.
 :meth:`WaveGrid.transform_pointwise`, the pseudo-spectral pipeline of the
 right-hand side, runs the inverse on a velocity block and its curl, and
 feeds the forward per slab with a pointwise map of that slab's ``irfft``.
-Every 1D transform is one that ``irfftn``/``rfftn`` would run on the same
-line, so results equal the half-spectrum path bit for bit. Workspaces are
-kept per grid and allocated on first use.
+Every 1D transform is a direct call into scipy's compiled pocketfft module
+with the arguments that scipy.fft's ``fft``, ``ifft``, ``rfft`` and
+``irfft`` pass it, and the ``scipy.fft`` package itself is never imported.
+Each is one that ``irfftn``/``rfftn`` would run on the same line, so
+results equal the half-spectrum path bit for bit. The worker count
+:data:`FFT_WORKERS` goes straight to pocketfft; scipy.fft's worker context
+is never consulted. Workspaces are kept per grid and allocated on first use.
 
 Once the grid outgrows one slab and the process may run on two CPUs
 (:func:`pipeline_parts`), every stage of both transforms runs in two halves
@@ -50,13 +54,14 @@ named by its first row, and keeps a peak as one value per call in a list
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.fft as _fft
 
 __all__ = [
     "GridError", "WaveGrid", "check_grid", "retained_half_modes", "slab_planes", "pipeline_parts",
@@ -68,9 +73,31 @@ class GridError(ValueError):
     """Invalid grid parameters."""
 
 
-# Worker count of every scipy.fft call. It is passed explicitly, so a
-# caller's ``scipy.fft.set_workers`` context cannot change the transform order.
+# Worker count of every transform. It goes straight to pocketfft, so
+# scipy.fft's worker context (``scipy.fft.set_workers``) is never consulted.
 FFT_WORKERS = 1
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file so that the
+    ``scipy.fft`` package (and the array-API layer it imports) never runs.
+    Under its full name the interpreter hands a later
+    ``import scipy.fft._pocketfft.pypocketfft`` the same module."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed: its compiled pocketfft module runs every transform")
+    where = os.path.join(scipy.submodule_search_locations[0], "fft", "_pocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.fft._pocketfft.pypocketfft", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled pocketfft module (pypocketfft) not found in {where}")
+
+
+_pocketfft = _load_pocketfft()
 
 # (i, j, k) cyclic: (a x b)_i = a_j b_k - a_k b_j
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -317,7 +344,7 @@ class WaveGrid:
         def slabs(part: int, x1: slice) -> None:
             for lo in range(x1.start, x1.stop, step):
                 hi = min(lo + step, x1.stop)
-                half = _fft.rfft(planes(part, lo, hi), axis=-1, workers=FFT_WORKERS)
+                half = _rfft(planes(part, lo, hi))
                 np.multiply(half[..., :kb].view(np.float64), self._fwd_scale, out=spec_re[:, lo:hi])
 
         block = None
@@ -343,7 +370,7 @@ class WaveGrid:
         """Block coefficients (c, M, M, K) -> real collocation values
         (c, N, N, N), bitwise equal to ``irfftn`` of the scattered block.
         The per-grid workspaces make concurrent calls on one grid unsafe."""
-        return _fft.irfft(self._inverse_lines(coeffs), n=self.n, axis=-1, norm="forward", workers=FFT_WORKERS)
+        return _irfft(self._inverse_lines(coeffs), self.n)
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real collocation values (..., N, N, N) -> their block (..., M, M, K),
@@ -376,7 +403,7 @@ class WaveGrid:
 
         def planes(part: int, lo: int, hi: int) -> np.ndarray:
             out = self.workspace(f"forward.slab{part}", (3, slab_planes(n), n, n), np.float64)[:, :hi - lo]
-            fn(lo, _fft.irfft(lines[:, lo:hi], n=n, axis=-1, norm="forward", workers=FFT_WORKERS), out)
+            fn(lo, _irfft(lines[:, lo:hi], n), out)
             return out
 
         return self._forward_lines(3, planes, finish)
@@ -456,9 +483,19 @@ def _in_parts(parts: int, stages: list[tuple[int, Callable[[int, slice], None]]]
 
 
 def _c2c_inplace(x: np.ndarray, axis: int, inverse: bool = False) -> None:
-    """Unnormalised c2c transform of ``x`` along ``axis``, written back into ``x``."""
-    fn = _fft.ifft if inverse else _fft.fft
-    res = fn(x, axis=axis, norm="forward" if inverse else "backward", overwrite_x=True,
-             workers=FFT_WORKERS)
-    if not np.may_share_memory(res, x):  # the transform was not done in place
-        x[...] = res
+    """Unnormalised c2c transform of ``x`` along ``axis``, in place: scipy.fft's
+    ``fft`` (``norm="backward"``) or ``ifft`` (``norm="forward"``) with
+    ``overwrite_x``, which both pass pocketfft ``inorm=0`` and ``out=x``."""
+    _pocketfft.c2c(x, (axis,), not inverse, 0, x, FFT_WORKERS)
+
+
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """Unnormalised r2c transform along the last axis: scipy.fft's ``rfft(x)``,
+    which passes pocketfft ``inorm=0``."""
+    return _pocketfft.r2c(x, (-1,), True, 0, None, FFT_WORKERS)
+
+
+def _irfft(x: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalised c2r transform along the last axis to n real values:
+    scipy.fft's ``irfft(x, n, norm="forward")``, which passes pocketfft ``inorm=0``."""
+    return _pocketfft.c2r(x, (-1,), n, False, 0, None, FFT_WORKERS)

@@ -1,9 +1,15 @@
 """Grid construction, the retained block, transforms."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.fft
 
+import dampedns
+import dampedns.grid as grid_module
 from dampedns import WaveGrid, GridError, get_fft_workers
 from dampedns.fields import make_initial_condition
 
@@ -85,8 +91,8 @@ class TestTransforms:
         assert phys.shape == (3, 8, 8, 8)
 
     def test_fft_worker_count_is_fixed(self):
-        # every transform passes the worker count, so a caller's scipy.fft
-        # worker context cannot change the transform order
+        # the worker count goes straight to pocketfft, so scipy.fft's worker
+        # context is never consulted and cannot change the transform order
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=2, energy=1.0)
         a = g.to_physical(u.coeffs)
@@ -95,6 +101,39 @@ class TestTransforms:
         assert get_fft_workers() == 1
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [4, 6, 16, 18, 32, 48, 64])
+    def test_pocketfft_calls_equal_public_scipy_fft(self, n):
+        """The direct pocketfft calls give public scipy.fft's bits on the
+        views the transforms pass: the c2c passes in place on the retained
+        k3 columns and the retained k1 rows of a (c, N, N, N//2+1) array,
+        r2c and c2r on x1-slabs."""
+        g = WaveGrid(n, 1.0)
+        rng = np.random.default_rng(n)
+        kb, lo = g.kb, n - g.kb + 1
+        shape = (3, n, n, g.nk)
+        full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        views = [
+            (-3, lambda a: a[..., :kb]),  # the columns of the inverse k1 and forward x1 passes
+            (-3, lambda a: a[:, :, lo:, :kb]),  # one k2 half of those columns
+            (-2, lambda a: a[..., :kb]),  # the inverse k2 pass
+            (-2, lambda a: a[:, :kb]),  # the forward x2 pass, on each retained k1 half
+            (-2, lambda a: a[:, lo:]),
+        ]
+        for axis, view in views:
+            for inverse in (False, True):
+                a = full.copy()
+                x = view(a)
+                want = (scipy.fft.ifft(x, axis=axis, norm="forward") if inverse
+                        else scipy.fft.fft(x, axis=axis))
+                grid_module._c2c_inplace(x, axis, inverse)
+                assert np.shares_memory(x, a)
+                assert np.array_equal(view(a), want), (axis, inverse)
+        values = rng.standard_normal((3, n, n, n))
+        slab = values[:, 1:n - 1]
+        assert np.array_equal(grid_module._rfft(slab), scipy.fft.rfft(slab, axis=-1))
+        lines = full[:, 1:n - 1]
+        assert np.array_equal(grid_module._irfft(lines, n), scipy.fft.irfft(lines, n=n, axis=-1, norm="forward"))
+
     def test_viscous_factor_cache(self):
         g = WaveGrid(8, 1.0)
         f1 = g.viscous_factor(0.1, 0.01)
@@ -102,3 +141,21 @@ class TestTransforms:
         assert f1 is f2
         expected = np.exp(-0.1 * 0.01 * g.ksq)
         assert np.array_equal(f1, expected)
+
+
+def test_import_loads_pocketfft_alone():
+    """Importing the command line loads scipy's compiled pocketfft module and
+    none of scipy.fft, scipy.special, scipy's array-API layer or numpy.f2py;
+    a later import of the extension under its scipy name is the same file."""
+    code = (
+        "import sys, dampedns.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.fft', 'scipy.special', "
+        "'scipy._lib._array_api', 'numpy.f2py'))))\n"
+        "import scipy.fft._pocketfft.pypocketfft as p\n"
+        "print(p.__file__ == sys.modules['dampedns.grid']._pocketfft.__file__)\n"
+    )
+    path = [os.path.dirname(os.path.dirname(dampedns.__file__)), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "True"]
