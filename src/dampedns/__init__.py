@@ -47,7 +47,6 @@ from .experiments import (
     SweepResult,
     detect_steady_state,
     run_convergence_speed_sweep,
-    run_initial_condition_independence,
     run_to_steady,
     run_trajectory_separation,
 )

@@ -2,8 +2,8 @@
 
 The cylinder-forced box develops a steady circulation whose approach speed
 depends on the damping parameters; these runners detect steadiness, sweep
-the (alpha, beta) plane, compare initial conditions and probe continuous
-dependence on the initial datum in the uniqueness regime.
+the (alpha, beta) plane and probe continuous dependence on the initial
+datum in the uniqueness regime.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "SweepResult",
     "SeparationRun",
     "SeparationResult",
-    "ICIndependenceResult",
     "check_steady",
     "check_sweep",
     "check_separation",
@@ -37,7 +36,6 @@ __all__ = [
     "stride_count",
     "detect_steady_state",
     "run_to_steady",
-    "run_initial_condition_independence",
     "run_trajectory_separation",
     "run_convergence_speed_sweep",
 ]
@@ -246,15 +244,6 @@ class SweepResult:
         ]
 
 
-def _config_to_steady(cfg: RunConfig, **steady) -> tuple[Physics, SteadyRun]:
-    """Build the grid, physics and initial state of ``cfg`` and run it to
-    steadiness with the given stride, steady_tol and max_t."""
-    grid = build_grid(cfg)
-    physics = build_physics(cfg, grid)
-    state = build_state(cfg, grid)
-    return physics, run_to_steady(state, cfg.scheme, physics, **steady)
-
-
 def _nonincreasing(values: list[float | None], max_t: float) -> bool:
     seq = [max_t * 2.0 if v is None else v for v in values]
     return all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
@@ -273,7 +262,9 @@ def run_convergence_speed_sweep(
     """Run every (alpha, beta) cell of ``config`` to steadiness, then judge
     how the convergence time T_c moves along each axis.
 
-    Cells are independent; a cell's SolverError (a blow-up, say) propagates
+    Cells run one after another on one grid and one forcing, built once
+    per sweep; each cell starts from the initial state of ``config`` with
+    its own physics. A cell's SolverError (a blow-up, say) propagates
     as a SolverError that names the offending pair. Final states stay on
     the returned cells and are additionally written to ``snapshot_dir``
     (one file per cell) when it is set; the directory is created before
@@ -285,17 +276,20 @@ def run_convergence_speed_sweep(
     """
     check_sweep(alphas, betas, stride=stride, steady_tol=steady_tol, max_t=max_t)
     out = None if snapshot_dir is None else make_output_dir(snapshot_dir)
+    grid = build_grid(config)
+    forced = build_physics(config, grid)
     cells: list[SteadyCell] = []
     for alpha in alphas:
         for beta in betas:
-            cfg = replace(config, alpha=alpha, beta=beta)
+            physics = replace(forced, alpha=alpha, beta=beta)
             try:
-                physics, run = _config_to_steady(cfg, stride=stride, steady_tol=steady_tol, max_t=max_t)
+                run = run_to_steady(build_state(config, grid), config.scheme, physics,
+                                    stride=stride, steady_tol=steady_tol, max_t=max_t)
             except SolverError as exc:
                 raise SolverError(f"steady-state cell alpha={alpha}, beta={beta} failed: {exc}") from exc
             snap_path = None
             if out is not None:
-                snap_path = str(out / f"{cfg.run_id}-a{alpha:g}-b{beta:g}.snap")
+                snap_path = str(out / f"{config.run_id}-a{alpha:g}-b{beta:g}.snap")
                 write_snapshot(run.state, physics, snap_path)
             final = record(run.state.u, run.state.t, physics)
             cells.append(SteadyCell(
@@ -309,46 +303,6 @@ def run_convergence_speed_sweep(
         cells,
         {b: _nonincreasing([t_c[a, b] for a in alphas], max_t) for b in betas},
         {a: _nonincreasing([t_c[a, b] for b in betas], max_t) for a in alphas},
-    )
-
-
-# ----------------------------------------------------------------------
-# initial-condition independence
-# ----------------------------------------------------------------------
-
-@dataclass
-class ICIndependenceResult:
-    status: str  # converged | inconclusive
-    distance: float | None
-    same_steady_state: bool
-    t_c_a: float | None
-    t_c_b: float | None
-
-
-def run_initial_condition_independence(
-    config: RunConfig,
-    ic_pair: tuple[InitialSpec, InitialSpec] = DEFAULT_IC_PAIR,
-    *,
-    stride: float,
-    steady_tol: float,
-    max_t: float,
-) -> ICIndependenceResult:
-    """Drive two initial conditions to steadiness and compare final states.
-
-    Returns the H-distance between the two final states and whether it is
-    within 10 * steady_tol. Non-convergence of either run is inconclusive.
-    """
-    check_steady(stride, steady_tol, max_t)
-    a, b = (
-        _config_to_steady(replace(config, initial=ic), stride=stride, steady_tol=steady_tol, max_t=max_t)[1]
-        for ic in ic_pair
-    )
-    if not (a.converged and b.converged):
-        return ICIndependenceResult("inconclusive", None, False, a.t_c, b.t_c)
-    grid = a.state.u.grid
-    distance = math.sqrt(h_norm_sq(a.state.u.coeffs - b.state.u.coeffs, grid))
-    return ICIndependenceResult(
-        "converged", distance, distance <= 10.0 * steady_tol, a.t_c, b.t_c,
     )
 
 
@@ -383,12 +337,14 @@ def run_trajectory_separation(
     """Separation d(t) = |u1(t) - u2(t)| of delta-perturbed trajectories.
 
     Requires the uniqueness regime (beta > 3, or beta = 3 with
-    4 alpha mu >= 1). The base trajectory is run once with a fixed step and
-    compared at every stride end of :func:`_strides` (t = k stride, and
-    t = max_t when the last stride is cut short) against one perturbed run
-    per amplitude; the perturbation is a fixed random
-    divergence-free field of unit norm, so d(0) = delta. The ratio test
-    sup_t d(t)/delta across amplitudes quantifies uniform continuous
+    4 alpha mu >= 1). The base trajectory and one perturbed trajectory per
+    amplitude start together and advance in lockstep with a fixed step,
+    one stride of :func:`_strides` at a time (t = k stride, and t = max_t
+    when the last stride is cut short); at each stride end every perturbed
+    state is compared with the base state, so the run holds one state per
+    member whatever the number of strides. The perturbation is a fixed
+    random divergence-free field of unit norm, so d(0) = delta. The ratio
+    test sup_t d(t)/delta across amplitudes quantifies uniform continuous
     dependence: a spread within ``RATIO_FACTOR`` means the response scales
     linearly with the perturbation.
     """
@@ -398,21 +354,24 @@ def run_trajectory_separation(
     scheme = replace(config.scheme, adaptive=False)
     grid = build_grid(config)
     physics = build_physics(config, grid)
-    base0 = build_state(config, grid)
-    perturb = make_initial_condition(grid, "random", seed=perturb_seed, energy=1.0)
-    # states are never mutated, so the base run's coefficients need no copies
-    base = [base0.u.coeffs]
-    base += [s.u.coeffs for s in _strides(base0, scheme, physics, stride=stride, max_t=max_t)]
+    base = build_state(config, grid)
+    perturb = make_initial_condition(grid, "random", seed=perturb_seed, energy=1.0).coeffs
+    perts = [SolverState(0.0, SpectralVelocity(grid, base.u.coeffs + delta * perturb)) for delta in deltas]
+    del perturb
+    times = [0.0]
+    dists = [[math.sqrt(h_norm_sq(pert.u.coeffs - base.u.coeffs, grid))] for pert in perts]
+    # once started, each member's generator holds only that member's current state
+    members = zip(*(_strides(s, scheme, physics, stride=stride, max_t=max_t) for s in [base, *perts]))
+    del base, perts
+    for base, *perts in members:
+        times.append(base.t)
+        for dist, pert in zip(dists, perts):
+            dist.append(math.sqrt(h_norm_sq(pert.u.coeffs - base.u.coeffs, grid)))
+        del base, perts, pert  # the generators alone hold the states while the next stride runs
 
     runs: list[SeparationRun] = []
-    for delta in deltas:
-        pert = SolverState(0.0, SpectralVelocity(grid, base0.u.coeffs + delta * perturb.coeffs))
-        times = [0.0]
-        dists = [math.sqrt(h_norm_sq(pert.u.coeffs - base[0], grid))]
-        for k, pert in enumerate(_strides(pert, scheme, physics, stride=stride, max_t=max_t), 1):
-            times.append(pert.t)
-            dists.append(math.sqrt(h_norm_sq(pert.u.coeffs - base[k], grid)))
-        d = np.array(dists)
+    for delta, dist in zip(deltas, dists):
+        d = np.array(dist)
         t = np.array(times)
         positive = d > 0
         rate = float(np.polyfit(t[positive], np.log(d[positive]), 1)[0]) if positive.sum() >= 2 else 0.0

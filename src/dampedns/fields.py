@@ -32,8 +32,6 @@ __all__ = [
     "make_initial_condition",
 ]
 
-DIV_TOL = 1e-12
-
 
 class FieldError(ValueError):
     """Invalid field construction or invariant violation."""
@@ -128,9 +126,10 @@ class SpectralVelocity:
     """Divergence-free velocity as truncated Fourier coefficients.
 
     Invariants (enforced by the constructors in this package, probed by
-    the validators above): real field (Hermitian symmetry), zero mean,
-    |k . u_hat| <= 1e-12 max|u_hat|. Dealiasing needs no check: the shape,
-    checked on construction, is the retained block.
+    :func:`divergence_max` and :func:`hermitian_defect`): real field
+    (Hermitian symmetry), zero mean, |k . u_hat| <= 1e-12 max|u_hat|.
+    Dealiasing needs no check: the shape, checked on construction, is the
+    retained block.
     """
 
     grid: WaveGrid
@@ -138,22 +137,6 @@ class SpectralVelocity:
 
     def __post_init__(self):
         _check_shape(self.coeffs, self.grid, "velocity")
-
-    def max_coeff(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-    def validate(self) -> None:
-        """Raise FieldError if any invariant is violated."""
-        peak = self.max_coeff()
-        if not np.isfinite(peak):
-            raise FieldError("non-finite spectral coefficients")
-        if np.abs(self.coeffs[:, 0, 0, 0]).max() != 0.0:
-            raise FieldError("zero mode is not zero")
-        scale = max(peak, 1e-300)
-        if divergence_max(self.coeffs, self.grid) > DIV_TOL * scale:
-            raise FieldError("field is not divergence-free")
-        if hermitian_defect(self.coeffs, self.grid) > 1e-12 * scale:
-            raise FieldError("field is not Hermitian-symmetric (not real)")
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Steady-state detection, sweeps, separation runs."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +13,21 @@ from dampedns import (
     RegimeError,
     SchemeConfig,
     SolverState,
+    SpectralVelocity,
     WaveGrid,
     h_norm_sq,
+    integrate,
     make_initial_condition,
 )
-from dampedns.config import ForcingSpec, InitialSpec, RunConfig, build_grid, build_initial
+from dampedns.config import (
+    ForcingSpec,
+    InitialSpec,
+    RunConfig,
+    build_grid,
+    build_initial,
+    build_physics,
+    build_state,
+)
 from dampedns.experiments import (
     DEFAULT_IC_PAIR,
     check_separation,
@@ -23,7 +35,6 @@ from dampedns.experiments import (
     check_sweep,
     detect_steady_state,
     run_convergence_speed_sweep,
-    run_initial_condition_independence,
     run_to_steady,
     run_trajectory_separation,
     stride_count,
@@ -39,6 +50,23 @@ def base_config(**over):
     )
     defaults.update(over)
     return RunConfig(**defaults)
+
+
+def block_bytes(cfg):
+    """Bytes of one velocity state's coefficient block at the grid of ``cfg``."""
+    return math.prod(build_grid(cfg).shape()) * 16
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The return value of ``fn(*args, **kwargs)`` and the tracemalloc peak
+    it reached above the memory traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -93,7 +121,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="steady_tol"):
             check_steady(stride=0.25, steady_tol=0.0, max_t=1.0)
         with pytest.raises(ValueError, match="steady_tol"):
-            run_initial_condition_independence(base_config(), stride=0.25, steady_tol=0.0, max_t=1.0)
+            run_convergence_speed_sweep(base_config(), (0.2,), (1.0,), stride=0.25, steady_tol=0.0, max_t=1.0)
 
 
 class TestDetectSteadyState:
@@ -217,46 +245,27 @@ class TestSteadySweep:
             assert header.alpha == cell.alpha
             assert np.array_equal(state.u.coeffs, cell.state.u.coeffs)
 
+    def test_cells_share_one_grid(self):
+        cfg = base_config()
+        sweep = dict(stride=0.25, steady_tol=1e-6, max_t=1.0)
+        one, one_peak = traced_peak(run_convergence_speed_sweep, cfg, (0.5,), (2.0,), **sweep)
+        many, many_peak = traced_peak(run_convergence_speed_sweep, cfg, (0.2, 0.5), (1.0, 2.0), **sweep)
+        assert len({id(c.state.u.grid) for c in many.cells}) == 1
+        # a cell does not depend on the cells before it
+        alone, cell = one.cells[0], many.cell(0.5, 2.0)
+        assert np.array_equal(cell.state.u.coeffs, alone.state.u.coeffs)
+        assert (cell.state.t, cell.state.step_count, cell.t_c, cell.final_norm_sq) == (
+            alone.state.t, alone.state.step_count, alone.t_c, alone.final_norm_sq)
+        # the three further cells keep their final states, and no grid each
+        assert many_peak - one_peak < 4 * block_bytes(cfg)
+
 
 class TestICIndependence:
-    def test_identical_ics_are_identical(self):
-        res = run_initial_condition_independence(
-            base_config(), (InitialSpec(kind="zero"), InitialSpec(kind="zero")),
-            steady_tol=1e-5, max_t=60.0, stride=0.5,
-        )
-        assert res.status == "converged"
-        assert res.distance <= 1e-12
-
     def test_default_pair_differs(self):
         cfg = base_config()
         grid = build_grid(cfg)
         a, b = (build_initial(replace(cfg, initial=ic), grid) for ic in DEFAULT_IC_PAIR)
         assert not np.array_equal(a.coeffs, b.coeffs)
-
-    def test_distinct_ics_reach_same_forced_steady_state(self):
-        steady_tol = 1e-6
-        res = run_initial_condition_independence(
-            base_config(),
-            (InitialSpec(kind="zero"), InitialSpec(kind="random", seed=5, energy=1.0)),
-            steady_tol=steady_tol, max_t=100.0, stride=0.25,
-        )
-        assert res.status == "converged"
-        assert res.same_steady_state
-        assert res.distance <= 10.0 * steady_tol
-
-    def test_unforced_ics_both_reach_rest(self):
-        res = run_initial_condition_independence(
-            base_config(forcing=ForcingSpec(kind="zero")),
-            (InitialSpec(kind="shear", amplitude=1.0), InitialSpec(kind="random", seed=3, energy=1.0)),
-            steady_tol=1e-6, max_t=80.0, stride=0.5,
-        )
-        assert res.status == "converged"
-        assert res.same_steady_state
-
-    def test_inconclusive_on_nonconvergence(self):
-        res = run_initial_condition_independence(base_config(), steady_tol=1e-12, max_t=2.0, stride=0.5)
-        assert res.status == "inconclusive"
-        assert res.distance is None
 
 
 class TestTrajectorySeparation:
@@ -293,3 +302,26 @@ class TestTrajectorySeparation:
         jumps = np.abs(np.diff(d))
         # perturbation field speed is O(1): stride bounds the step-to-step change
         assert jumps.max() <= 2.0 * 0.25 * max(1.0, d.max())
+
+    def test_memory_does_not_grow_with_strides(self):
+        cfg, stride, deltas = self.sep_config(), 0.04, (1e-2, 1e-3)
+        peaks = {}
+        for strides in (2, 20):
+            res, peaks[strides] = traced_peak(run_trajectory_separation, cfg, deltas,
+                                              max_t=strides * stride, stride=stride)
+        assert peaks[20] - peaks[2] < block_bytes(cfg)
+
+        # the lockstep run gives the bits of each member integrated on its own
+        grid = build_grid(cfg)
+        physics = build_physics(cfg, grid)
+        base = build_state(cfg, grid)
+        perturb = make_initial_condition(grid, "random", seed=7, energy=1.0).coeffs
+        for run in res.runs:
+            a = base
+            b = SolverState(0.0, SpectralVelocity(grid, base.u.coeffs + run.delta * perturb))
+            dists = [math.sqrt(h_norm_sq(b.u.coeffs - a.u.coeffs, grid))]
+            for k in range(1, 21):
+                a = integrate(a, k * stride, cfg.scheme, physics)
+                b = integrate(b, k * stride, cfg.scheme, physics)
+                dists.append(math.sqrt(h_norm_sq(b.u.coeffs - a.u.coeffs, grid)))
+            assert np.array_equal(run.distances, dists)

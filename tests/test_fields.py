@@ -14,6 +14,8 @@ from dampedns.fields import (
 )
 from dampedns.grid import pipeline_parts
 
+from invariants import assert_invariants
+
 
 @pytest.fixture
 def grid():
@@ -39,7 +41,7 @@ class TestInitialConditions:
     def test_zero(self, grid):
         u = make_initial_condition(grid, "zero")
         assert h_norm_sq(u.coeffs, grid) == 0.0
-        u.validate()
+        assert_invariants(u)
 
     def test_shear_energy_closed_form(self):
         # Parseval on one mode: |u0|^2 = A^2 L^3 / 2
@@ -47,7 +49,7 @@ class TestInitialConditions:
             g = WaveGrid(16, length)
             u = make_initial_condition(g, "shear", amplitude=amp)
             assert h_norm_sq(u.coeffs, g) == pytest.approx(amp ** 2 * length ** 3 / 2, rel=1e-13)
-            u.validate()
+            assert_invariants(u)
 
     def test_shear_matches_pointwise_formula(self, grid):
         u = make_initial_condition(grid, "shear", amplitude=1.3)
@@ -61,7 +63,7 @@ class TestInitialConditions:
     def test_random_divfree_energy_and_invariants(self, grid):
         u = make_initial_condition(grid, "random", seed=1, energy=1.0)
         assert h_norm_sq(u.coeffs, grid) == pytest.approx(1.0, abs=1e-12)
-        u.validate()
+        assert_invariants(u)
 
     def test_random_deterministic_per_seed(self, grid):
         a = make_initial_condition(grid, "random", seed=42, energy=1.0)
@@ -133,8 +135,8 @@ class TestValidation:
     def test_validate_catches_nonzero_mean(self, grid):
         u = make_initial_condition(grid, "random", seed=3, energy=1.0)
         u.coeffs[0, 0, 0, 0] = 0.5
-        with pytest.raises(FieldError, match="zero mode"):
-            u.validate()
+        with pytest.raises(AssertionError, match="zero mode"):
+            assert_invariants(u)
 
     def test_rejects_half_spectrum_coeffs(self, grid):
         # a mode outside the retained block cannot be stored: a half-spectrum
@@ -149,8 +151,8 @@ class TestValidation:
         u = make_initial_condition(grid, "random", seed=3, energy=1.0)
         u.coeffs += 0.01 * grid.kvec  # gradient-direction leak
         u.coeffs[:, 0, 0, 0] = 0.0
-        with pytest.raises(FieldError, match="divergence"):
-            u.validate()
+        with pytest.raises(AssertionError, match="divergence"):
+            assert_invariants(u)
 
     def test_probes_small_on_valid_fields(self, grid):
         u = make_initial_condition(grid, "random", seed=4, energy=1.0)

@@ -12,6 +12,8 @@ from dampedns import WaveGrid, ForcingField, SpectralVelocity, make_initial_cond
 from dampedns.fields import divergence_max, h_norm_sq, h_inner
 from dampedns.operators import nonviscous_rhs, project_coeffs
 
+from invariants import assert_invariants
+
 
 def random_hermitian_coeffs(grid, seed):
     """Raw (not divergence-free) coefficients of a real random field."""
@@ -72,7 +74,7 @@ class TestLerayProject:
             assert divergence_max(once, g) <= 1e-12 * scale
             twice = project_coeffs(once.copy(), g)
             assert np.abs(twice - once).max() <= 1e-13 * scale
-            SpectralVelocity(g, once).validate()
+            assert_invariants(SpectralVelocity(g, once))
 
     def test_shape_rejected(self):
         g = WaveGrid(8, 1.0)
@@ -100,7 +102,7 @@ class TestNonlinearTerm:
             ip = h_inner(nl, u.coeffs, g)
             denom = np.sqrt(h_norm_sq(nl, g) * h_norm_sq(u.coeffs, g))
             assert abs(ip) <= 1e-10 * denom
-            SpectralVelocity(g, nl).validate()
+            assert_invariants(SpectralVelocity(g, nl))
 
 
 class TestDampingTerm:

@@ -33,6 +33,8 @@ from dampedns.config import build_grid, build_physics, build_state, load_preset
 from dampedns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from dampedns.storage import check_restart_compatible, read_snapshot_header
 
+from invariants import assert_invariants
+
 V1_FIXTURE = Path(__file__).parent / "data" / "v1-n8.snap"
 
 
@@ -183,7 +185,7 @@ class TestSnapshots:
         assert (header.t, header.mu, header.alpha, header.beta) == (0.05, 0.1, 0.5, 3.0)
         assert (header.step_count, header.last_dt, header.n_modes) == (5, 0.01, 125)
         assert header.n_modes == state.u.grid.n_retained
-        state.u.validate()
+        assert_invariants(state.u)
         ph = Physics(mu=header.mu, alpha=header.alpha, beta=header.beta,
                      forcing=ForcingField.zero(state.u.grid))
         path = tmp_path / "again.snap"

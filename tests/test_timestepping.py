@@ -24,6 +24,8 @@ from dampedns.fields import h_inner, h_norm_sq
 from dampedns.operators import nonviscous_rhs
 from dampedns.timestepping import _cfl_dt
 
+from invariants import assert_invariants
+
 
 def shear_setup(n=16, length=2 * np.pi, mu=0.1, alpha=0.2, amp=1.0):
     g = WaveGrid(n, length)
@@ -133,7 +135,7 @@ class TestStep:
         st = SolverState(0.0, u)
         for _ in range(10):
             st = step(st, sc, ph)
-            st.u.validate()
+            assert_invariants(st.u)
 
     def test_discrete_energy_inequality_unforced(self):
         # with f = 0 any energy increase is a scheme artifact of size
