@@ -8,8 +8,8 @@ configurations). Summaries go to stdout as JSON; artifacts land in the
 configured output directory.
 
 Exit codes: 0 success, 1 failed checks or solver errors, 2 usage errors
-(a missing, unreadable or invalid config, a bad preset or flag value, or a
-restart past t_end).
+(a missing, unreadable or invalid config, a config file given with --preset,
+a bad preset or flag value, or a restart past t_end).
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def _emit(obj) -> None:
 
 
 def _load_config(args) -> RunConfig:
+    if args.config and args.preset:
+        raise ConfigError("give either a config file or --preset, not both")
     if args.preset:
         return load_preset(args.preset)
     if not args.config:

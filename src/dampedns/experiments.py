@@ -17,13 +17,12 @@ import numpy as np
 from .bounds import RegimeError, REGIME_BY_CHECK, in_uniqueness_regime
 from .config import RunConfig, build_grid, build_physics, build_state
 from .diagnostics import record
-from .fields import InitialSpec, SpectralVelocity, h_norm_sq, make_initial_condition
+from .fields import SpectralVelocity, h_norm_sq, make_initial_condition
 from .operators import check_physics
 from .storage import make_output_dir, write_snapshot
 from .timestepping import Physics, SchemeConfig, SolverError, SolverState, integrate
 
 __all__ = [
-    "DEFAULT_IC_PAIR",
     "SteadyRun",
     "SteadyCell",
     "SweepResult",
@@ -42,9 +41,6 @@ __all__ = [
 
 RATIO_FACTOR = 2.0  # see run_trajectory_separation
 STEADY_WINDOW = 10  # consecutive small rates that declare a steady state
-
-# two different states: the fluid at rest and a seeded random field
-DEFAULT_IC_PAIR = (InitialSpec(kind="zero"), InitialSpec(kind="random", seed=5, energy=1.0))
 
 
 # ----------------------------------------------------------------------
@@ -78,9 +74,9 @@ def check_steady(stride: float, steady_tol: float, max_t: float) -> None:
 
 
 def check_sweep(alphas, betas, *, stride: float, steady_tol: float, max_t: float) -> None:
-    """Raise ValueError unless both axes are non-empty, every alpha and beta
-    is valid physics and the steady-state run is valid. An axis error names
-    its list, ``alphas`` or ``betas``."""
+    """Raise ValueError unless both axes are non-empty and distinct, every
+    alpha and beta is valid physics and the steady-state run is valid. An
+    axis error names its list, ``alphas`` or ``betas``."""
     # check_physics judges each parameter on its own, so each axis is checked
     # against a valid value of the other
     for key, values, check in (("alphas", alphas, lambda alpha: check_physics(alpha, 1.0)),
@@ -92,16 +88,21 @@ def check_sweep(alphas, betas, *, stride: float, steady_tol: float, max_t: float
                 check(value)
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
+        if len(set(values)) < len(values):
+            raise ValueError(f"{key} must be distinct, got {tuple(values)}")
     check_steady(stride, steady_tol, max_t)
 
 
 def check_separation(deltas, *, stride: float, max_t: float, perturb_seed: int = 7) -> None:
-    """Raise ValueError unless the amplitudes ``deltas`` are non-empty, > 0
-    and finite, 0 < stride <= max_t, all finite, and perturb_seed >= 0."""
+    """Raise ValueError unless the amplitudes ``deltas`` are non-empty,
+    distinct, > 0 and finite, 0 < stride <= max_t, all finite, and
+    perturb_seed >= 0."""
     if not deltas:
         raise ValueError("deltas (perturbation amplitudes) must be non-empty")
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"deltas (perturbation amplitudes) must be > 0 and finite, got {tuple(deltas)}")
+    if len(set(deltas)) < len(deltas):
+        raise ValueError(f"deltas (perturbation amplitudes) must be distinct, got {tuple(deltas)}")
     if perturb_seed < 0:
         raise ValueError(f"perturb_seed must be >= 0, got {perturb_seed}")
     _check_horizon(stride, max_t)
@@ -226,12 +227,6 @@ class SweepResult:
     cells: list[SteadyCell]
     alpha_nonincreasing: dict[float, bool]  # per beta: T_c non-increasing in alpha
     beta_nonincreasing: dict[float, bool]   # per alpha: T_c non-increasing in beta
-
-    def cell(self, alpha: float, beta: float) -> SteadyCell:
-        for c in self.cells:
-            if c.alpha == alpha and c.beta == beta:
-                return c
-        raise KeyError(f"no cell for alpha={alpha}, beta={beta}")
 
     def table(self) -> list[dict]:
         return [

@@ -112,8 +112,7 @@ def hermitian_defect(coeffs: np.ndarray, grid: WaveGrid) -> float:
 def _check_shape(coeffs: np.ndarray, grid: WaveGrid, what: str) -> None:
     if coeffs.shape != grid.shape():
         raise FieldError(
-            f"{what} coefficients have shape {coeffs.shape}, expected the retained block {grid.shape()}; "
-            "pass a half-spectrum array through grid.gather first"
+            f"{what} coefficients have shape {coeffs.shape}, expected the retained block {grid.shape()}"
         )
 
 
@@ -158,15 +157,6 @@ class ForcingField:
         self.grid = grid
         self.coeffs = c
         self.norm_sq = h_norm_sq(c, grid)
-
-    @staticmethod
-    def zero(grid: WaveGrid) -> "ForcingField":
-        return ForcingSpec().build(grid)
-
-    @staticmethod
-    def cylinder(grid: WaveGrid, **params) -> "ForcingField":
-        """Constant force inside a cylinder; ``params`` are :class:`ForcingSpec` fields."""
-        return ForcingSpec("cylinder", **params).build(grid)
 
 
 def _zeros(grid: WaveGrid, spec: ForcingSpec | InitialSpec) -> np.ndarray:

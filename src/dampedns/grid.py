@@ -9,11 +9,10 @@ the trigonometric-polynomial coefficient c_k of ``u(x) = sum_k c_k exp(i k.x)``.
 Dealiasing holds by construction: no mode outside the block can be stored.
 Modes with negative k3 are implied by Hermitian symmetry; the k3 = 0 plane
 carries its own conjugate pairs and must stay self-conjugate. The block
-never reaches the Nyquist modes.
-
-The real-FFT half-spectrum ``(..., N, N, N//2 + 1)`` exists only inside the
-transforms; :meth:`WaveGrid.gather` and :meth:`WaveGrid.scatter` convert
-between the two layouts.
+never reaches the Nyquist modes. The real-FFT half-spectrum
+``(..., N, N, N//2 + 1)`` exists only inside the transforms; the tests'
+``gather`` and ``scatter`` (``tests/blocks.py``) convert between the two
+layouts to check the transforms against ``irfftn`` and ``rfftn``.
 
 Each direction has one pruned transform. The inverse
 (:meth:`WaveGrid._inverse_lines`) runs the c2c passes k1 on the M retained
@@ -170,7 +169,6 @@ class WaveGrid:
         # 2/3 rule: keep |m_i| < N/3 on every axis.
         self.kb = retained_half_modes(self.n)  # K: retained half-axis modes
         self.mb = 2 * self.kb - 1  # M: retained modes per full axis
-        self.n_retained = self.mb ** 3
         # Signed retained modes, FFT ordering: 0, 1, ..., K-1, -(K-1), ..., -1 on a full axis.
         self.modes_half = np.arange(self.kb, dtype=np.int64)
         self.modes = np.concatenate([self.modes_half, -self.modes_half[:0:-1]])
@@ -246,22 +244,6 @@ class WaveGrid:
     def shape(self, components: int = 3) -> tuple[int, ...]:
         """Shape of ``components`` coefficient arrays: the retained block (c, M, M, K)."""
         return (components, self.mb, self.mb, self.kb)
-
-    def gather(self, full: np.ndarray) -> np.ndarray:
-        """Half-spectrum array (..., N, N, N//2+1) -> its retained block (..., M, M, K)."""
-        out = np.empty(full.shape[:-3] + (self.mb, self.mb, self.kb), full.dtype)
-        for f1, b1 in self._halves:
-            for f2, b2 in self._halves:
-                out[..., b1, b2, :] = full[..., f1, f2, :self.kb]
-        return out
-
-    def scatter(self, block: np.ndarray) -> np.ndarray:
-        """Retained block (..., M, M, K) -> half-spectrum array, zero outside the block."""
-        out = np.zeros(block.shape[:-3] + (self.n, self.n, self.nk), block.dtype)
-        for f1, b1 in self._halves:
-            for f2, b2 in self._halves:
-                out[..., f1, f2, :self.kb] = block[..., b1, b2, :]
-        return out
 
     def viscous_factor(self, mu: float, dt: float) -> np.ndarray:
         """exp(-mu |k|^2 dt) per retained mode, cached for fixed-step runs."""

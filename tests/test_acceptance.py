@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dampedns import (
-    ForcingField,
+    ForcingSpec,
     Physics,
     SchemeConfig,
     SolverState,
@@ -32,7 +32,6 @@ from dampedns.bounds import check_damping_positivity
 from dampedns.config import ConfigError, InitialSpec, load_preset, build_grid, build_physics, build_state
 from dampedns.diagnostics import energy_balance_residual
 from dampedns.experiments import (
-    DEFAULT_IC_PAIR,
     run_convergence_speed_sweep,
     run_to_steady,
     run_trajectory_separation,
@@ -79,8 +78,8 @@ def bound_runs():
     scheme = SchemeConfig(dt=0.01, dt_max=0.02, adaptive=True)
     runs = []
     for forced in (False, True):
-        forcing = (ForcingField.cylinder(grid, force=(0.0, 0.5, 0.0))
-                   if forced else ForcingField.zero(grid))
+        forcing = (ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(grid)
+                   if forced else ForcingSpec().build(grid))
         physics = Physics(mu=BOUND_MU, alpha=BOUND_ALPHA, beta=BOUND_BETA, forcing=forcing)
         for seed, e0 in enumerate(E0_CYCLE):
             u0 = make_initial_condition(grid, "random", seed=seed, energy=e0)
@@ -129,7 +128,7 @@ def test_criterion_2_energy_identity_convergence():
     with verdict(2, "energy identity residual order"):
         t0 = time.perf_counter()
         grid = WaveGrid(32, 12.0)
-        forcing = ForcingField.cylinder(grid)
+        forcing = ForcingSpec("cylinder").build(grid)
         physics = Physics(mu=0.05, alpha=0.5, beta=3.0, forcing=forcing)
         u0 = make_initial_condition(grid, "random", seed=11, energy=1.0)
 
@@ -249,7 +248,7 @@ def test_criterion_7_uniqueness_regime_continuity():
     """Perturbation response scales linearly with delta across three decades."""
     with verdict(7, "uniqueness-regime continuity"):
         t0 = time.perf_counter()
-        from dampedns.config import ForcingSpec, RunConfig
+        from dampedns.config import RunConfig
         for mu, alpha, beta in ((0.5, 0.5, 4.0), (0.5, 0.6, 3.0)):
             if beta == 3.0:
                 assert 4.0 * alpha * mu == pytest.approx(1.2)
@@ -286,12 +285,13 @@ def test_criterion_8_steady_state_reproduction(steady_sweep):
         # beta axis is observational: report, never fail
         print(f"  observational beta-axis verdicts: {result.beta_nonincreasing}")
 
-        # the default pair: the fluid at rest against a seeded random field. The
-        # rest run is the sweep's (0.2, 1) cell, the base config itself.
+        # the pair: the fluid at rest against a seeded random field. The rest
+        # run is the sweep's first cell, (0.2, 1), the base config itself.
         steady_tol = 1e-6
-        rest = result.cell(base.alpha, base.beta)
-        assert (base.alpha, base.beta, base.initial) == (0.2, 1.0, DEFAULT_IC_PAIR[0])
-        cfg = replace(base, initial=DEFAULT_IC_PAIR[1])
+        rest = result.cells[0]
+        assert (rest.alpha, rest.beta) == (base.alpha, base.beta) == (0.2, 1.0)
+        assert base.initial == InitialSpec(kind="zero")
+        cfg = replace(base, initial=InitialSpec(kind="random", seed=5, energy=1.0))
         grid = build_grid(cfg)
         other = run_to_steady(build_state(cfg, grid), cfg.scheme, build_physics(cfg, grid),
                               stride=0.25, steady_tol=steady_tol, max_t=200.0)
@@ -305,7 +305,7 @@ def test_criterion_9_infrastructure(tmp_path):
     """Snapshot and restart fidelity, config range rejection."""
     with verdict(9, "infrastructure"):
         grid = WaveGrid(16, 2 * np.pi)
-        forcing = ForcingField.cylinder(grid, force=(0.0, 0.5, 0.0))
+        forcing = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(grid)
         physics = Physics(mu=0.2, alpha=0.5, beta=3.0, forcing=forcing)
         scheme = SchemeConfig(dt=0.01, dt_max=0.02, adaptive=True)
         u0 = make_initial_condition(grid, "random", seed=8, energy=1.0)

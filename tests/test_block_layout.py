@@ -22,12 +22,14 @@ import scipy.fft as sfft
 import dampedns.grid as grid_module
 import dampedns.timestepping as timestepping
 from dampedns import (
-    BlowUpError, ForcingField, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step,
+    BlowUpError, ForcingSpec, Physics, SchemeConfig, SolverState, WaveGrid, make_initial_condition, step,
 )
 from dampedns.diagnostics import record
 from dampedns.grid import pipeline_parts, slab_planes
 from dampedns.operators import nonviscous_rhs
 from dampedns.timestepping import BLOWUP_GUARD, _cfl_dt
+
+from blocks import gather, scatter
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -99,7 +101,7 @@ def ref_rhs(c, grid, alpha, beta, f):
 
 
 def ref_step(t, c, grid, scheme, physics):
-    al, be, f = physics.alpha, physics.beta, grid.scatter(physics.forcing.coeffs)
+    al, be, f = physics.alpha, physics.beta, scatter(physics.forcing.coeffs, grid.n)
     ksq = Full(grid).ksq
     k1, speed = ref_rhs(c, grid, al, be, f)
     dt = _cfl_dt(speed, t, grid, scheme, physics) if scheme.adaptive else scheme.dt
@@ -120,14 +122,14 @@ def setup(n, beta):
     grid = WaveGrid(n, 2 * np.pi)
     u = make_initial_condition(grid, "random", seed=11, energy=2.0)
     physics = Physics(mu=0.05, alpha=0.7, beta=beta,
-                      forcing=ForcingField.cylinder(grid, force=(0.0, 1.0, 0.0)))
+                      forcing=ForcingSpec("cylinder", force=(0.0, 1.0, 0.0)).build(grid))
     return grid, u, physics
 
 
 def forcing(grid, physics, forced):
     """The run's forcing, or the zero forcing with which the invariant tests
     read the convective and damping terms off the kernel."""
-    return physics.forcing.coeffs if forced else ForcingField.zero(grid).coeffs
+    return physics.forcing.coeffs if forced else ForcingSpec().build(grid).coeffs
 
 
 NS = [16, 18, 32]
@@ -186,14 +188,14 @@ class TestBlockGeometry:
         rng = np.random.default_rng(n)
         full = rng.standard_normal(ref.shape()) + 1j * rng.standard_normal(ref.shape())
         full *= ref.mask_f
-        block = grid.gather(full)
+        block = gather(full)
         assert block.shape == grid.shape()
-        assert np.array_equal(grid.scatter(block), full)
-        assert np.array_equal(grid.ksq, grid.gather(ref.ksq))
-        assert np.array_equal(grid.kvec, grid.gather(ref.kvec))
-        assert np.array_equal(grid.inv_ksq, grid.gather(ref.inv_ksq))
+        assert np.array_equal(scatter(block, grid.n), full)
+        assert np.array_equal(grid.ksq, gather(ref.ksq))
+        assert np.array_equal(grid.kvec, gather(ref.kvec))
+        assert np.array_equal(grid.inv_ksq, gather(ref.inv_ksq))
         assert np.array_equal(grid.viscous_factor(0.1, 0.01),
-                              grid.gather(np.exp((-0.1 * 0.01) * ref.ksq)))
+                              gather(np.exp((-0.1 * 0.01) * ref.ksq)))
 
 
 class TestPrunedInverse:
@@ -212,17 +214,17 @@ class TestPrunedInverse:
                     full = rng.standard_normal(ref_grid.shape(comps)) + 1j * rng.standard_normal(ref_grid.shape(comps))
                     full *= ref_grid.mask_f
                     n = grid.n
-                    ref = sfft.irfftn(grid.scatter(grid.gather(full)), s=(n, n, n), axes=(-3, -2, -1),
+                    ref = sfft.irfftn(scatter(gather(full), grid.n), s=(n, n, n), axes=(-3, -2, -1),
                                       norm="forward")
-                    got = grid.to_physical(grid.gather(full))
+                    got = grid.to_physical(gather(full))
                     assert got.shape == (comps, n, n, n)
                     assert np.array_equal(got, ref), (rnd, n, comps)
-                    back = grid.gather(sfft.rfftn(ref, axes=(-3, -2, -1), norm="forward"))
+                    back = gather(sfft.rfftn(ref, axes=(-3, -2, -1), norm="forward"))
                     assert np.array_equal(grid.to_spectral(ref), back), (rnd, n, comps)
 
     def test_state_equals_irfftn_of_scatter(self):
         grid, u, _ = setup(16, 2.0)
-        ref = sfft.irfftn(grid.scatter(u.coeffs), s=(16,) * 3, axes=(-3, -2, -1), norm="forward")
+        ref = sfft.irfftn(scatter(u.coeffs, grid.n), s=(16,) * 3, axes=(-3, -2, -1), norm="forward")
         assert np.array_equal(grid.to_physical(u.coeffs), ref)
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -231,7 +233,7 @@ class TestPrunedInverse:
         set_cpus(monkeypatch, cpus)
         grid = WaveGrid(n, 1.0)
         x = np.random.default_rng(7).standard_normal((3, n, n, n))
-        assert np.array_equal(grid.to_spectral(x), grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
+        assert np.array_equal(grid.to_spectral(x), gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
 
     @pytest.mark.parametrize("shape", [(), (2, 3)])
     def test_to_spectral_batches_leading_axes(self, shape):
@@ -239,7 +241,7 @@ class TestPrunedInverse:
         x = np.random.default_rng(8).standard_normal(shape + (16, 16, 16))
         got = grid.to_spectral(x)
         assert got.shape == shape + grid.shape(1)[1:]
-        assert np.array_equal(got, grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
+        assert np.array_equal(got, gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
 
 
 class TestAgainstFullReference:
@@ -247,10 +249,10 @@ class TestAgainstFullReference:
     @pytest.mark.parametrize("beta", BETAS)
     def test_nonviscous_rhs_bitwise(self, n, beta):
         grid, u, physics = setup(n, beta)
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta,
-                                 grid.scatter(physics.forcing.coeffs))
+        ref, ref_speed = ref_rhs(scatter(u.coeffs, grid.n), grid, physics.alpha, beta,
+                                 scatter(physics.forcing.coeffs, grid.n))
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, physics.forcing.coeffs)
-        assert np.array_equal(grid.scatter(got), ref)
+        assert np.array_equal(scatter(got, grid.n), ref)
         assert speed == ref_speed
 
     @pytest.mark.parametrize("n", NS)
@@ -260,12 +262,12 @@ class TestAgainstFullReference:
         grid, u, physics = setup(n, beta)
         scheme = SchemeConfig(method=method, dt=0.02, adaptive=adaptive)
         state = SolverState(0.0, u)
-        t, c = 0.0, grid.scatter(u.coeffs)
+        t, c = 0.0, scatter(u.coeffs, grid.n)
         for _ in range(4):
             state = step(state, scheme, physics)
             t, c = ref_step(t, c, grid, scheme, physics)
             assert state.t == t
-            assert np.array_equal(grid.scatter(state.u.coeffs), c)
+            assert np.array_equal(scatter(state.u.coeffs, grid.n), c)
 
 
 class TestSlabs:
@@ -281,9 +283,9 @@ class TestSlabs:
         set_slab(monkeypatch, n, n if planes == "whole" else planes)
         grid, u, physics = setup(n, beta)
         f = forcing(grid, physics, forced)
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta, grid.scatter(f))
+        ref, ref_speed = ref_rhs(scatter(u.coeffs, grid.n), grid, physics.alpha, beta, scatter(f, grid.n))
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f)
-        assert np.array_equal(grid.scatter(got), ref)
+        assert np.array_equal(scatter(got, grid.n), ref)
         assert speed == ref_speed
 
 
@@ -308,7 +310,7 @@ class TestPrunedForward:
         assert sorted(filled) == list(range(n))
         halves = [slice(0, grid.mb)] if pipeline_parts(n) == 1 else [slice(0, grid.kb), slice(grid.kb, grid.mb)]
         assert sorted(finished, key=lambda r: r.start) == halves
-        assert np.array_equal(got, grid.gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
+        assert np.array_equal(got, gather(sfft.rfftn(x, axes=(-3, -2, -1), norm="forward")))
 
 
 class TestResultsOwnTheirMemory:
@@ -318,13 +320,13 @@ class TestResultsOwnTheirMemory:
         rng = np.random.default_rng(5)
         first = grids[0]
         c = random_block(first, 3, rng)
-        f = ForcingField.zero(first).coeffs
+        f = ForcingSpec().build(first).coeffs
         res, speed = nonviscous_rhs(c, first, 0.7, 2.0, f)
         kept = res.copy()
         for rnd in range(2):
             for grid in grids:
                 other = random_block(grid, 3, rng)
-                nonviscous_rhs(other, grid, 0.7, 2.0, ForcingField.zero(grid).coeffs)  # six components in
+                nonviscous_rhs(other, grid, 0.7, 2.0, ForcingSpec().build(grid).coeffs)  # six components in
                 grid.to_physical(other)  # three in
                 assert np.array_equal(res, kept), (rnd, grid.n)
         again, speed_again = nonviscous_rhs(c, first, 0.7, 2.0, f)
@@ -390,9 +392,9 @@ class TestSplit:
         started = record_threads(monkeypatch)
         grid, u, physics = setup(n, beta)
         f = forcing(grid, physics, forced)
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, beta, grid.scatter(f))
+        ref, ref_speed = ref_rhs(scatter(u.coeffs, grid.n), grid, physics.alpha, beta, scatter(f, grid.n))
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, beta, f)
-        assert np.array_equal(grid.scatter(got), ref)
+        assert np.array_equal(scatter(got, grid.n), ref)
         assert speed == ref_speed
         assert len(started) == parts - 1  # one worker serves all four stages
 
@@ -405,12 +407,12 @@ class TestSplit:
         grid, u, physics = setup(n, beta)
         scheme = SchemeConfig(method=method, dt=0.02, adaptive=adaptive)
         state = SolverState(0.0, u)
-        t, c = 0.0, grid.scatter(u.coeffs)
+        t, c = 0.0, scatter(u.coeffs, grid.n)
         for _ in range(4):
             state = step(state, scheme, physics)
             t, c = ref_step(t, c, grid, scheme, physics)
             assert state.t == t
-            assert np.array_equal(grid.scatter(state.u.coeffs), c)
+            assert np.array_equal(scatter(state.u.coeffs, grid.n), c)
 
     def test_nan_in_second_half_gives_nan_speed(self, monkeypatch):
         set_cpus(monkeypatch, 2)
@@ -470,8 +472,8 @@ class TestSplit:
         set_slab(monkeypatch, 48, 6)  # 4 slabs per half
         set_cpus(monkeypatch, 2)
         grid, u, physics = setup(48, 2.0)
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, 2.0,
-                                 grid.scatter(physics.forcing.coeffs))
+        ref, ref_speed = ref_rhs(scatter(u.coeffs, grid.n), grid, physics.alpha, 2.0,
+                                 scatter(physics.forcing.coeffs, grid.n))
         running, finished = [], []
         transform = WaveGrid.transform_pointwise
 
@@ -499,7 +501,7 @@ class TestSplit:
             time.sleep(0.05)
             assert finished == done  # and it did not go on afterwards
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 2.0, physics.forcing.coeffs)
-        assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
+        assert np.array_equal(scatter(got, grid.n), ref) and speed == ref_speed
 
     def test_one_worker_serves_every_stage(self, monkeypatch, fresh_pool):
         set_cpus(monkeypatch, 2)
@@ -557,13 +559,13 @@ class TestSplit:
         assert pipeline_parts(n) == 1
         started = record_threads(monkeypatch)
         grid, u, physics = setup(n, 3.5)
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, 3.5,
-                                 grid.scatter(physics.forcing.coeffs))
+        ref, ref_speed = ref_rhs(scatter(u.coeffs, grid.n), grid, physics.alpha, 3.5,
+                                 scatter(physics.forcing.coeffs, grid.n))
         got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
         grid.to_physical(u.coeffs)
         step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), physics)
         assert started == [] and grid_module._pool is None
-        assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
+        assert np.array_equal(scatter(got, grid.n), ref) and speed == ref_speed
 
     def test_repeated_calls_under_frequent_thread_switches(self, monkeypatch):
         """The halves share workspaces; a switch at any bytecode must not
@@ -571,15 +573,15 @@ class TestSplit:
         set_slab(monkeypatch, 48, 3)
         set_cpus(monkeypatch, 2)
         grid, u, physics = setup(48, 3.5)
-        ref, ref_speed = ref_rhs(grid.scatter(u.coeffs), grid, physics.alpha, 3.5,
-                                 grid.scatter(physics.forcing.coeffs))
+        ref, ref_speed = ref_rhs(scatter(u.coeffs, grid.n), grid, physics.alpha, 3.5,
+                                 scatter(physics.forcing.coeffs, grid.n))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             deadline = time.monotonic() + 5.0
             for _ in range(8):
                 got, speed = nonviscous_rhs(u.coeffs, grid, physics.alpha, 3.5, physics.forcing.coeffs)
-                assert np.array_equal(grid.scatter(got), ref) and speed == ref_speed
+                assert np.array_equal(scatter(got, grid.n), ref) and speed == ref_speed
                 if time.monotonic() > deadline:
                     break
         finally:

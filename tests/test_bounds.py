@@ -7,7 +7,7 @@ import pytest
 
 from dampedns import (
     BoundReport,
-    ForcingField,
+    ForcingSpec,
     NotApplicable,
     Physics,
     RegimeError,
@@ -250,7 +250,7 @@ class TestDampingPositivityAndEnvelope:
 class TestOnRealTrajectories:
     def test_forced_run_all_checks(self):
         g = WaveGrid(16, 2 * np.pi)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         ph = Physics(mu=0.5, alpha=0.6, beta=3.0, forcing=f)
         sc = SchemeConfig(dt=0.01, adaptive=False)
         st = SolverState(0.0, make_initial_condition(g, "random", seed=12, energy=10.0))

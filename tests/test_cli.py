@@ -74,6 +74,19 @@ class TestRunCommand:
         code = main(["run"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_config_and_preset_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        """Neither source wins silently: the pair is refused before anything is written."""
+        monkeypatch.chdir(tmp_path)  # where the preset's output_dir would land
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CONFIG + f"output_dir = {tmp_path}/mine\n")
+        code = main([command, str(cfg), "--preset", "decay-shear-b1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        [line] = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert line == "error: give either a config file or --preset, not both"
+        assert [p.name for p in tmp_path.iterdir()] == ["quick.cfg"]
+
     def test_bad_subcommand_exits_2(self, capsys):
         assert main(["explode"]) == 2
 
@@ -279,7 +292,7 @@ class TestVerifyCommand:
 class TestSweepCommand:
     @pytest.mark.parametrize("args", [
         "--alphas 0.2,0", "--alphas 0", "--alphas ,", "--betas 0.5", "--stride 0", "--steady-tol 0",
-        "--max-t 0.1 --stride 0.25", "--dt-max 0", "--n 9", "--mu 0",
+        "--max-t 0.1 --stride 0.25", "--dt-max 0", "--n 9", "--mu 0", "--alphas 0.2,0.2", "--betas 1,2,1",
     ])
     def test_bad_flag_exits_2(self, capsys, tmp_path, monkeypatch, args):
         def integrate(*a, **k):
@@ -365,7 +378,8 @@ class TestSeparateCommand:
         assert "uniqueness" in captured.err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--n", "9"), ("--dt", "0"), ("--deltas", "0"), ("--t", "0.02"),  # --t below the 0.25 stride
+        ("--n", "9"), ("--dt", "0"), ("--deltas", "0"), ("--deltas", "1e-2,1e-2"),
+        ("--t", "0.02"),  # --t below the 0.25 stride
         ("--seed", "-3"), ("--perturb-seed", "-3"), ("--energy", "-1"),
         ("--mu", "-1"), ("--alpha", "0"), ("--beta", "0.5"),
     ])

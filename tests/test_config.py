@@ -7,8 +7,7 @@ import pytest
 
 import dampedns.config as config
 import dampedns.fields as fields
-from dampedns import (ConfigError, FieldError, ForcingField, SchemeConfig, h_norm_sq, make_initial_condition,
-                      parse_config)
+from dampedns import ConfigError, FieldError, SchemeConfig, h_norm_sq, make_initial_condition, parse_config
 from dampedns.config import (
     checked,
     build_forcing,
@@ -206,15 +205,14 @@ class TestFieldSpecs:
         assert config.ForcingSpec is fields.ForcingSpec
         assert config.InitialSpec is fields.InitialSpec
 
-    def test_cylinder_three_ways_bitwise(self):
+    def test_cylinder_two_ways_bitwise(self):
         params = dict(center=(2.0, 3.5, 4.0), radius=1.5, height=2.5, axis="z",
                       force=(1.0, 0.0, -0.5), smooth_cells=0.5)
         cfg = parse_config(MINIMAL + "\n[forcing]\nkind = cylinder\ncenter = 2, 3.5, 4\nradius = 1.5\n"
                            "height = 2.5\naxis = z\nforce = 1, 0, -0.5\nsmooth_cells = 0.5\n")
         grid = build_grid(cfg)
-        library = ForcingField.cylinder(grid, **params).coeffs
+        library = fields.ForcingSpec("cylinder", **params).build(grid).coeffs
         assert library.any()
-        assert np.array_equal(fields.ForcingSpec("cylinder", **params).build(grid).coeffs, library)
         assert np.array_equal(build_forcing(cfg, grid).coeffs, library)
 
     @pytest.mark.parametrize("kind, params, lines", [
@@ -246,8 +244,6 @@ class TestFieldSpecs:
         calls = [lambda: spec(kind, **params)]
         if section == "run":
             calls.append(lambda: make_initial_condition(grid, kind, **params))
-        elif kind == "cylinder":  # ForcingField.cylinder fixes the kind
-            calls.append(lambda: ForcingField.cylinder(grid, **params))
         for call in calls:
             with pytest.raises(FieldError) as info:
                 call()

@@ -7,7 +7,7 @@ import pytest
 
 from dampedns import (
     DiagnosticsWriter,
-    ForcingField,
+    ForcingSpec,
     Observer,
     Physics,
     SchemeConfig,
@@ -27,7 +27,7 @@ from dampedns.diagnostics import DiagnosticsRecord
 
 def physics_for(grid, mu=0.1, alpha=0.2, beta=1.0, forcing=None):
     return Physics(mu=mu, alpha=alpha, beta=beta,
-                   forcing=forcing or ForcingField.zero(grid))
+                   forcing=forcing or ForcingSpec().build(grid))
 
 
 class TestRecord:
@@ -99,7 +99,7 @@ class TestRecord:
 
     def test_forcing_power(self):
         g = WaveGrid(16, 2 * np.pi)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         u = make_initial_condition(g, "random", seed=3, energy=1.0)
         r = record(u, 0.0, physics_for(g, forcing=f))
         phys_u = g.to_physical(u.coeffs)
@@ -182,7 +182,7 @@ class TestEnergyBalanceResidual:
     def test_residual_richardson(self):
         # halving dt and the record stride cuts the residual by ~2^p
         g = WaveGrid(8, 2 * np.pi)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         ph = physics_for(g, mu=0.05, alpha=0.5, beta=3.0, forcing=f)
         u0 = make_initial_condition(g, "random", seed=7, energy=1.0)
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dampedns import (
-    ForcingField,
     Physics,
     RegimeError,
     SchemeConfig,
@@ -29,7 +28,6 @@ from dampedns.config import (
     build_state,
 )
 from dampedns.experiments import (
-    DEFAULT_IC_PAIR,
     check_separation,
     check_steady,
     check_sweep,
@@ -117,6 +115,18 @@ class TestSpecValidation:
             run_convergence_speed_sweep(base_config(), (0.2, 0.0), (1.0,),
                                         stride=0.25, steady_tol=1e-6, max_t=1.0)
 
+    def test_lists_are_distinct(self, no_steps):
+        """A repeated value would run one cell twice, or read one amplitude as two."""
+        steady = dict(stride=0.25, steady_tol=1e-6, max_t=1.0)
+        with pytest.raises(ValueError, match=r"^alphas must be distinct, got \(0\.2, 0\.2\)$"):
+            check_sweep((0.2, 0.2), (1.0,), **steady)
+        with pytest.raises(ValueError, match=r"^betas must be distinct"):
+            run_convergence_speed_sweep(base_config(), (0.2,), (1.0, 2.0, 1.0), **steady)
+        with pytest.raises(ValueError, match=r"^deltas \(perturbation amplitudes\) must be distinct"):
+            check_separation((1e-2, 1e-3, 1e-2), stride=0.25, max_t=1.0)
+        with pytest.raises(ValueError, match=r"^deltas \(perturbation amplitudes\) must be distinct"):
+            run_trajectory_separation(base_config(beta=4.0), (1e-2, 1e-2), max_t=1.0, stride=0.25)
+
     def test_steady_tol_positive(self, no_steps):
         with pytest.raises(ValueError, match="steady_tol"):
             check_steady(stride=0.25, steady_tol=0.0, max_t=1.0)
@@ -157,7 +167,7 @@ class TestDetectSteadyState:
 class TestRunToSteady:
     def test_shear_decay_reaches_rest(self):
         g = WaveGrid(8, 2 * np.pi)
-        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingSpec().build(g))
         st = SolverState(0.0, make_initial_condition(g, "shear", amplitude=1.0))
         run = run_to_steady(st, SchemeConfig(dt=0.02, adaptive=False), ph,
                             stride=0.5, steady_tol=1e-6, max_t=60.0)
@@ -171,7 +181,7 @@ class TestRunToSteady:
 
     def test_nonconvergence_reported(self):
         g = WaveGrid(8, 2 * np.pi)
-        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingSpec().build(g))
         st = SolverState(0.0, make_initial_condition(g, "shear", amplitude=1.0))
         run = run_to_steady(st, SchemeConfig(dt=0.02, adaptive=False), ph,
                             stride=0.5, steady_tol=1e-12, max_t=3.0)
@@ -179,7 +189,7 @@ class TestRunToSteady:
 
     def test_last_stride_clipped_to_horizon(self):
         g = WaveGrid(8, 2 * np.pi)
-        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingSpec().build(g))
         st = SolverState(0.0, make_initial_condition(g, "random", seed=3, energy=1.0))
         run = run_to_steady(st, SchemeConfig(dt=0.025, adaptive=False), ph,
                             stride=0.3, steady_tol=1e-12, max_t=0.5)
@@ -190,7 +200,7 @@ class TestRunToSteady:
         # 3 + 2e-9 strides: whole under the separation check's relative rule,
         # so the loop runs 3 strides, not a 4th of 2e-10 time units
         g = WaveGrid(8, 2 * np.pi)
-        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.5, alpha=0.5, beta=1.0, forcing=ForcingSpec().build(g))
         st = SolverState(0.0, make_initial_condition(g, "random", seed=3, energy=1.0))
         max_t = 0.1 * (3 + 2e-9)
         check_separation((1e-2,), max_t=max_t, stride=0.1)
@@ -209,7 +219,9 @@ class TestSteadySweep:
         assert all(c.converged for c in res.cells)
         assert all(c.final_norm_sq < 1e-9 for c in res.cells)
         # analytic: higher alpha decays faster on every mode
-        assert res.cell(0.5, 1.0).t_c <= res.cell(0.2, 1.0).t_c
+        slow, fast = res.cells
+        assert (slow.alpha, fast.alpha) == (0.2, 0.5)
+        assert fast.t_c <= slow.t_c
 
     def test_sweep_verdicts_and_determinism(self):
         cfg = base_config(forcing=ForcingSpec(kind="zero"),
@@ -252,7 +264,8 @@ class TestSteadySweep:
         many, many_peak = traced_peak(run_convergence_speed_sweep, cfg, (0.2, 0.5), (1.0, 2.0), **sweep)
         assert len({id(c.state.u.grid) for c in many.cells}) == 1
         # a cell does not depend on the cells before it
-        alone, cell = one.cells[0], many.cell(0.5, 2.0)
+        alone, cell = one.cells[0], many.cells[3]
+        assert (cell.alpha, cell.beta) == (0.5, 2.0)
         assert np.array_equal(cell.state.u.coeffs, alone.state.u.coeffs)
         assert (cell.state.t, cell.state.step_count, cell.t_c, cell.final_norm_sq) == (
             alone.state.t, alone.state.step_count, alone.t_c, alone.final_norm_sq)
@@ -264,7 +277,9 @@ class TestICIndependence:
     def test_default_pair_differs(self):
         cfg = base_config()
         grid = build_grid(cfg)
-        a, b = (build_initial(replace(cfg, initial=ic), grid) for ic in DEFAULT_IC_PAIR)
+        # criterion 8's pair: the fluid at rest and a seeded random field
+        pair = (InitialSpec(kind="zero"), InitialSpec(kind="random", seed=5, energy=1.0))
+        a, b = (build_initial(replace(cfg, initial=ic), grid) for ic in pair)
         assert not np.array_equal(a.coeffs, b.coeffs)
 
 

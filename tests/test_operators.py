@@ -8,7 +8,7 @@ when the damping is switched on: rhs(u; alpha, beta) - rhs(u; 0, 1).
 import numpy as np
 import pytest
 
-from dampedns import WaveGrid, ForcingField, SpectralVelocity, make_initial_condition
+from dampedns import WaveGrid, ForcingSpec, SpectralVelocity, make_initial_condition
 from dampedns.fields import divergence_max, h_norm_sq, h_inner
 from dampedns.operators import nonviscous_rhs, project_coeffs
 
@@ -23,7 +23,7 @@ def random_hermitian_coeffs(grid, seed):
 
 def rhs(u, alpha, beta):
     """The kernel's right-hand side of u with zero forcing."""
-    return nonviscous_rhs(u.coeffs, u.grid, alpha, beta, ForcingField.zero(u.grid).coeffs)[0]
+    return nonviscous_rhs(u.coeffs, u.grid, alpha, beta, ForcingSpec().build(u.grid).coeffs)[0]
 
 
 def convective(u):
@@ -166,7 +166,7 @@ class TestFusedRhs:
     def test_matches_sum_of_parts(self):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=4, energy=2.0)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         for beta in (1.0, 2.5, 3.0):
             fused, _ = nonviscous_rhs(u.coeffs, g, 0.7, beta, f.coeffs)
             parts = sum(textbook_terms(u, 0.7, beta)) + f.coeffs
@@ -178,7 +178,7 @@ class TestFusedRhs:
         # contributes nothing
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=5, energy=1.0)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         alpha, beta = 0.6, 3.0
         fused, _ = nonviscous_rhs(u.coeffs, g, alpha, beta, f.coeffs)
         phys = g.to_physical(u.coeffs)

@@ -13,7 +13,7 @@ from hypothesis import strategies as hst
 
 from dampedns import (
     DiagnosticsWriter,
-    ForcingField,
+    ForcingSpec,
     Observer,
     Physics,
     SchemeConfig,
@@ -56,7 +56,7 @@ def write_csv(records, path):
 
 def small_run(n=8, seed=1, t_end=0.2, dt=0.01, stride=2):
     g = WaveGrid(n, 2 * np.pi)
-    f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+    f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
     ph = Physics(mu=0.2, alpha=0.5, beta=3.0, forcing=f)
     sc = SchemeConfig(dt=dt, adaptive=False)
     st = SolverState(0.0, make_initial_condition(g, "random", seed=seed, energy=1.0))
@@ -73,7 +73,7 @@ class TestDiagnosticsCSV:
 
     def test_zero_field_row_of_zeros(self, tmp_path):
         g = WaveGrid(8, 1.0)
-        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingSpec().build(g))
         rec = record(make_initial_condition(g, "zero"), 0.25, ph)
         path = tmp_path / "d.csv"
         write_csv([rec], path)
@@ -101,7 +101,7 @@ class TestDiagnosticsCSV:
 
     def test_streaming_singleton(self, tmp_path):
         g = WaveGrid(8, 1.0)
-        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingSpec().build(g))
         rec = record(make_initial_condition(g, "zero"), 0.0, ph)
         path = tmp_path / "one.csv"
         with DiagnosticsWriter(path) as w:
@@ -184,10 +184,10 @@ class TestSnapshots:
         assert (header.magic, header.version, header.n, header.length) == (b"DNSNAP01", 1, 8, 2 * np.pi)
         assert (header.t, header.mu, header.alpha, header.beta) == (0.05, 0.1, 0.5, 3.0)
         assert (header.step_count, header.last_dt, header.n_modes) == (5, 0.01, 125)
-        assert header.n_modes == state.u.grid.n_retained
+        assert header.n_modes == state.u.grid.mb ** 3
         assert_invariants(state.u)
         ph = Physics(mu=header.mu, alpha=header.alpha, beta=header.beta,
-                     forcing=ForcingField.zero(state.u.grid))
+                     forcing=ForcingSpec().build(state.u.grid))
         path = tmp_path / "again.snap"
         write_snapshot(state, ph, path)
         assert path.read_bytes() == V1_FIXTURE.read_bytes()
@@ -198,7 +198,7 @@ class TestSnapshots:
         write_snapshot(st, ph, path)
         header = read_snapshot_header(path)
         assert header.version == 1
-        assert header.n_modes == g.n_retained
+        assert header.n_modes == g.mb ** 3
 
     def test_corrupted_payload_rejected(self, tmp_path):
         g, ph, sc, st, _ = small_run()
@@ -380,7 +380,7 @@ class TestRestartEquivalence:
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_restart_continues_bitwise(self, tmp_path, adaptive):
         g = WaveGrid(8, 2 * np.pi)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         ph = Physics(mu=0.2, alpha=0.5, beta=3.0, forcing=f)
         sc = SchemeConfig(dt=0.01, dt_max=0.02, adaptive=adaptive)
         t_half, t_end, stride = 0.3, 0.6, 5

@@ -7,7 +7,7 @@ import pytest
 
 from dampedns import (
     BlowUpError,
-    ForcingField,
+    ForcingSpec,
     Observer,
     Physics,
     SchemeConfig,
@@ -30,7 +30,7 @@ from invariants import assert_invariants
 def shear_setup(n=16, length=2 * np.pi, mu=0.1, alpha=0.2, amp=1.0):
     g = WaveGrid(n, length)
     u = make_initial_condition(g, "shear", amplitude=amp)
-    ph = Physics(mu=mu, alpha=alpha, beta=1.0, forcing=ForcingField.zero(g))
+    ph = Physics(mu=mu, alpha=alpha, beta=1.0, forcing=ForcingSpec().build(g))
     return g, u, ph
 
 
@@ -49,7 +49,7 @@ class TestConfigValidation:
 
     def test_physics_ranges(self):
         g = WaveGrid(8, 1.0)
-        f = ForcingField.zero(g)
+        f = ForcingSpec().build(g)
         with pytest.raises(ValueError):
             Physics(mu=0.0, alpha=1.0, beta=1.0, forcing=f)
         with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ class TestExplicitRhs:
     def test_zero_field_zero_forcing(self):
         g = WaveGrid(8, 1.0)
         u = make_initial_condition(g, "zero")
-        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingSpec().build(g))
         rhs, _ = nonviscous_rhs(u.coeffs, g, ph.alpha, ph.beta, ph.forcing.coeffs)
         assert np.abs(rhs).max() == 0.0
 
@@ -74,7 +74,7 @@ class TestExplicitRhs:
     def test_power_budget(self):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=0, energy=1.0)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         ph = Physics(mu=0.05, alpha=0.5, beta=3.0, forcing=f)
         rhs, _ = nonviscous_rhs(u.coeffs, g, ph.alpha, ph.beta, f.coeffs)
         phys = g.to_physical(u.coeffs)
@@ -87,7 +87,7 @@ class TestStep:
     def test_rest_state_unchanged(self):
         g = WaveGrid(8, 1.0)
         u = make_initial_condition(g, "zero")
-        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.1, alpha=0.2, beta=1.0, forcing=ForcingSpec().build(g))
         st = step(SolverState(0.0, u), SchemeConfig(dt=0.01, adaptive=False), ph)
         assert st.t == pytest.approx(0.01)
         assert st.step_count == 1
@@ -109,7 +109,7 @@ class TestStep:
     def test_richardson_one_step_order(self, method, expect):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=4, energy=1.0)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         ph = Physics(mu=0.05, alpha=0.5, beta=3.0, forcing=f)
         h = 0.04
 
@@ -129,7 +129,7 @@ class TestStep:
     def test_invariants_hold_after_every_step(self, method):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=5, energy=1.0)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=f)
         sc = SchemeConfig(method=method, dt=0.02, adaptive=False)
         st = SolverState(0.0, u)
@@ -142,7 +142,7 @@ class TestStep:
         # O(dt^(p+1)) per step
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=6, energy=1.0)
-        ph = Physics(mu=1e-6, alpha=1e-8, beta=1.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=1e-6, alpha=1e-8, beta=1.0, forcing=ForcingSpec().build(g))
         for dt in (0.02, 0.01):
             st = SolverState(0.0, u)
             e_prev = h_norm_sq(st.u.coeffs, g)
@@ -166,7 +166,7 @@ class TestAdaptDt:
 
     def make(self, n=16, length=2 * np.pi):
         g = WaveGrid(n, length)
-        return g, Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingField.zero(g))
+        return g, Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingSpec().build(g))
 
     def test_rest_state_gives_dt_max(self):
         g, ph = self.make()
@@ -177,7 +177,7 @@ class TestAdaptDt:
     def test_underflowed_damping_stiffness_gives_dt_max(self):
         # alpha * 1e-110 ** 3 underflows to 0.0: no damping limit, not a division by zero
         g = WaveGrid(8, 2 * np.pi)
-        ph = Physics(mu=1.0, alpha=0.2, beta=4.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=1.0, alpha=0.2, beta=4.0, forcing=ForcingSpec().build(g))
         sc = SchemeConfig(dt=1e-3, dt_max=0.1, adaptive=True)
         assert _cfl_dt(1e-110, 0.0, g, sc, ph) == 0.1
 
@@ -185,7 +185,7 @@ class TestAdaptDt:
         # max|u| = 1, alpha = 0.5, beta = 3: damping cap is cfl / 0.5
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "shear", amplitude=1.0)
-        ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingField.zero(g))
+        ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingSpec().build(g))
         sc = SchemeConfig(dt=1e-3, dt_max=1e3, dt_min=1e-12, cfl_target=0.4, adaptive=True)
         dt = step(SolverState(0.0, u), sc, ph).last_dt
         assert dt <= 0.4 / 0.5 + 1e-12
@@ -196,7 +196,7 @@ class TestAdaptDt:
         for n in (16, 32):
             g = WaveGrid(n, 2 * np.pi)
             u = make_initial_condition(g, "shear", amplitude=100.0)  # advective limit binds
-            ph = Physics(mu=0.1, alpha=1e-6, beta=1.0, forcing=ForcingField.zero(g))
+            ph = Physics(mu=0.1, alpha=1e-6, beta=1.0, forcing=ForcingSpec().build(g))
             dts.append(step(SolverState(0.0, u), sc, ph).last_dt)
         assert dts[0] / dts[1] == pytest.approx(2.0, rel=1e-10)
 
@@ -242,7 +242,7 @@ class TestIntegrate:
 
     def test_determinism_bitwise(self):
         g = WaveGrid(16, 2 * np.pi)
-        f = ForcingField.cylinder(g, force=(0.0, 0.5, 0.0))
+        f = ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g)
         ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=f)
         sc = SchemeConfig(dt=0.01, dt_max=0.02, adaptive=True)
 
@@ -333,7 +333,7 @@ class TestTransformCount:
     def test_if_rk2_step_components(self, monkeypatch, adaptive):
         g = WaveGrid(16, 2 * np.pi)
         u = make_initial_condition(g, "random", seed=7, energy=1.0)
-        ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingField.cylinder(g, force=(0.0, 0.5, 0.0)))
+        ph = Physics(mu=0.1, alpha=0.5, beta=3.0, forcing=ForcingSpec("cylinder", force=(0.0, 0.5, 0.0)).build(g))
         counts = {"inverse": 0, "forward": 0}
 
         def counting(name, kind):
